@@ -16,14 +16,14 @@ from .errors import ShapeError
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
     concat_rows,
     gelu,
     layernorm,
     matmul,
+    merge_heads,
     mul,
-    slice_cols,
     softmax_rows,
+    split_heads,
     transpose,
 )
 
@@ -158,25 +158,14 @@ def embed(patches, ep: EmbedParams):
 
 def encoder_block(h, blk: BlockParams):
     """Pre-norm block over the M rows of h; attention sees only those rows."""
-    m, d = h.shape
-    if d % blk.heads:
-        raise ShapeError(f"width {d} not divisible by {blk.heads} heads")
-    dh = d // blk.heads
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(h.shape[1] // blk.heads)
 
     a = layernorm(h, blk.ln1_g, blk.ln1_b, LN_EPS)
-    q = add(matmul(a, blk.wq), blk.bq)
-    k = add(matmul(a, blk.wk), blk.bk)
-    v = add(matmul(a, blk.wv), blk.bv)
-    per_head = []
-    for i in range(blk.heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qi = slice_cols(q, lo, hi)
-        ki = slice_cols(k, lo, hi)
-        vi = slice_cols(v, lo, hi)
-        att = softmax_rows(mul(matmul(qi, transpose(ki)), scale))  # (M, M)
-        per_head.append(matmul(att, vi))
-    o = add(matmul(concat_cols(per_head), blk.wo), blk.bo)
+    q = split_heads(add(matmul(a, blk.wq), blk.bq), blk.heads)  # (H, M, dh)
+    k = split_heads(add(matmul(a, blk.wk), blk.bk), blk.heads)
+    v = split_heads(add(matmul(a, blk.wv), blk.bv), blk.heads)
+    att = softmax_rows(mul(matmul(q, transpose(k)), scale))  # (H, M, M)
+    o = add(matmul(merge_heads(matmul(att, v)), blk.wo), blk.bo)
     h1 = add(h, o)
 
     n = layernorm(h1, blk.ln2_g, blk.ln2_b, LN_EPS)

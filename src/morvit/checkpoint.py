@@ -19,6 +19,8 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -117,7 +119,11 @@ def unpack_rng_state(raw):
 
 
 def save_checkpoint(path, cfg, named_tensors, optimizer=None, rng_state=None):
-    """Write config, tensors, optional optimizer state and RNG state."""
+    """Write config, tensors, optional optimizer state and RNG state.
+
+    The bytes go to ``<path>.tmp`` first and then replace ``path`` in one
+    rename, so a write that fails partway leaves any old checkpoint intact.
+    """
     buf = [MAGIC, struct.pack("<I", VERSION)]
     cfg_bytes = serialize_config(cfg).encode("utf-8")
     buf.append(struct.pack("<Q", len(cfg_bytes)))
@@ -140,10 +146,16 @@ def save_checkpoint(path, cfg, named_tensors, optimizer=None, rng_state=None):
     else:
         buf.append(b"\x01")
         buf.append(pack_rng_state(rng_state))
+    tmp = f"{path}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(b"".join(buf))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise DataError(f"cannot write checkpoint {path}: {exc}")
 
 

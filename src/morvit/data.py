@@ -135,7 +135,7 @@ def synth_holdout_set(cfg):
 
 def check_geometry(records, cfg, where="dataset"):
     expect = (cfg.image_h, cfg.image_w, cfg.channels)
-    for rec in records[:1]:
+    for rec in records:
         if rec.image.shape != expect:
             raise DataError(
                 f"{where}: image shape {rec.image.shape} does not match config {expect}"

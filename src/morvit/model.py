@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,11 @@ from .routing import RouterParams, init_router_params, run_recursion
 from .tensor import Tensor, add, cross_entropy, gather_rows, mean, mul, softmax_rows, sub, tsum
 
 
+# Tensor fields of BlockParams in declaration order, which fixes the names
+# and the order of block entries in checkpoints.
+_BLOCK_TENSORS = tuple(f.name for f in fields(BlockParams) if f.name != "heads")
+
+
 @dataclass
 class ModelParams:
     embed: EmbedParams
@@ -39,8 +44,7 @@ class ModelParams:
             "embed.e_pos": self.embed.e_pos,
         }
         for i, blk in enumerate(self.blocks):
-            for fname in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                          "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
+            for fname in _BLOCK_TENSORS:
                 out[f"block{i}.{fname}"] = getattr(blk, fname)
         if self.router.mode == "expert_choice":
             for r, step in enumerate(self.router.steps):

@@ -164,23 +164,16 @@ def detect_degenerate(traces, threshold=0.95):
     }
 
 
-def bench_throughput(params, cfg, images, repeats=5, precision="f64"):
+def bench_throughput(params, cfg, images, repeats=5):
     """Median images/second over timed repeats, after one warmup pass.
 
-    Reports the raw per-repeat samples, their variance, the precision used
-    and the worker-thread cap so numbers are comparable across runs.
+    Reports the raw per-repeat samples, their variance, the precision (always
+    f64) and the worker-thread cap so numbers are comparable across runs.
     """
     from .model import forward  # local import keeps profiler light
 
     if repeats < 3:
         raise ValueError("bench_throughput needs repeats >= 3")
-    if precision not in ("f64", "f32"):
-        raise ValueError(f"precision must be f64 or f32, got {precision!r}")
-    if precision == "f32":
-        for t in params.named().values():
-            t.data = t.data.astype(np.float32)
-        images = [img.astype(np.float32) for img in images]
-
     forward(images, params, cfg)  # warmup
     samples = []
     for _ in range(repeats):
@@ -196,6 +189,6 @@ def bench_throughput(params, cfg, images, repeats=5, precision="f64"):
         "samples": samples,
         "repeats": repeats,
         "batch": len(images),
-        "precision": precision,
+        "precision": "f64",
         "threads": int(os.environ.get("MORVIT_THREADS", "1")),
     }

@@ -106,7 +106,6 @@ class RoutingTrace:
     max_steps: int
     num_patches: int
     step_scores: list = field(default_factory=list)       # graph tensors (A_r, 1)
-    step_thresholds: list = field(default_factory=list)
     step_scored: list = field(default_factory=list)       # active patch count at step start
     step_selected: list = field(default_factory=list)     # K kept
     step_attended: list = field(default_factory=list)     # rows fed to the block (kept + class)
@@ -172,13 +171,12 @@ def _expert_choice_step(state, block, step_router, r, beta, trace, hooks):
     trace.step_scores.append(scores)
     trace.step_scored.append(int(a))
 
-    threshold, kept_local = select_active(scores.data[:, 0], beta)
+    _, kept_local = select_active(scores.data[:, 0], beta)
     if hooks is not None and hooks.force_keep is not None:
         kept_global = np.asarray(hooks.force_keep, dtype=np.intp)
         kept_local = np.searchsorted(active_patches, kept_global)
     else:
         kept_global = active_patches[kept_local]
-    trace.step_thresholds.append(threshold)
     trace.step_selected.append(int(kept_global.size))
 
     participants = np.concatenate(([0], kept_global))

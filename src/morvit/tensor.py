@@ -1,11 +1,12 @@
 """Dense float tensors with reverse-mode autodiff on an explicit tape.
 
-Values live in contiguous row-major numpy arrays, float64 by default
-(float32 only when a caller asks for it, e.g. throughput benchmarks).
-Differentiable ops record a node on the currently active ``Tape``;
-``backward`` replays the nodes in reverse order, accumulating into
-``Tensor.grad``. Accumulation order is fixed by the recording order, so two
-identical runs produce bit-identical gradients.
+Values live in contiguous row-major numpy arrays, float64 unless a float32
+array is passed in. Differentiable ops record a node on the currently active
+``Tape``; ``backward`` replays the nodes in reverse order, accumulating into
+``Tensor.grad``, and then drops them. Accumulation order is fixed by the
+recording order, so two identical runs produce bit-identical gradients.
+
+Attention heads are a leading (H, M, .) stack axis; see ``split_heads``.
 
 Tensors that appear on a tape are never mutated in place; the optimizer
 updates leaf parameters only between tapes.
@@ -37,7 +38,7 @@ class MacCounter:
 
 @contextlib.contextmanager
 def count_macs():
-    """Instrument matmul: every a@b adds m*k*n MACs to the yielded counter."""
+    """Instrument matmul: every a@b adds H*m*k*n MACs to the yielded counter."""
     global _mac_counter
     prev = _mac_counter
     _mac_counter = counter = MacCounter()
@@ -159,6 +160,9 @@ class Tape:
                 if inp.grad is None:
                     inp.grad = np.zeros_like(inp.data)
                 inp.grad = inp.grad + gin
+        # Every output points back at this tape, so holding the nodes would
+        # keep the whole graph alive until the cyclic GC ran.
+        self.nodes = []
 
 
 def backward(loss):
@@ -187,13 +191,18 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def add(a, b):
-    """Elementwise sum with trailing-dimension broadcasting."""
+def _broadcastable(a, b, op):
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape} for add")
+        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape} for {op}")
+    return a, b
+
+
+def add(a, b):
+    """Elementwise sum with trailing-dimension broadcasting."""
+    a, b = _broadcastable(a, b, "add")
     out = Tensor(a.data + b.data)
 
     def back(g):
@@ -203,11 +212,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape} for sub")
+    a, b = _broadcastable(a, b, "sub")
     out = Tensor(a.data - b.data)
 
     def back(g):
@@ -218,11 +223,7 @@ def sub(a, b):
 
 def mul(a, b):
     """Elementwise product with broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape} for mul")
+    a, b = _broadcastable(a, b, "mul")
     out = Tensor(a.data * b.data)
 
     def back(g):
@@ -238,28 +239,59 @@ def neg(a):
 
 
 def matmul(a, b):
-    """2-D matrix product; backward is dA = g @ B^T, dB = A^T @ g."""
+    """(M, K) @ (K, N), or (H, M, K) @ (H, K, N) as H independent products.
+
+    Backward is dA = g @ B^T, dB = A^T @ g over the last two axes.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim not in (2, 3) or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     if _mac_counter is not None:
-        m, k = a.shape
-        n = b.shape[1]
-        _mac_counter.macs += m * k * n
+        _mac_counter.macs += a.size * b.shape[-1]  # H*m*k*n
     out = Tensor(a.data @ b.data)
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return _record(out, (a, b), back)
 
 
 def transpose(a):
+    """Swap the last two axes of a matrix or an (H, M, N) stack."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(np.ascontiguousarray(a.data.T))
-    return _record(out, (a,), lambda g: (np.ascontiguousarray(g.T),))
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a matrix or a stack, got shape {a.shape}")
+    out = Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)))
+    return _record(out, (a,), lambda g: (np.ascontiguousarray(g.swapaxes(-1, -2)),))
+
+
+def _split(x, heads):
+    m, d = x.shape
+    return np.ascontiguousarray(x.reshape(m, heads, d // heads).transpose(1, 0, 2))
+
+
+def _merge(x):
+    h, m, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(m, h * dh)
+
+
+def split_heads(x, heads):
+    """(M, D) rows -> (H, M, D/H) stack; head i holds columns [i*D/H, (i+1)*D/H)."""
+    x = _as_tensor(x)
+    if x.ndim != 2 or heads < 1 or x.shape[1] % heads:
+        raise ShapeError(f"cannot split shape {x.shape} into {heads} heads")
+    out = Tensor(_split(x.data, heads))
+    return _record(out, (x,), lambda g: (_merge(g),))
+
+
+def merge_heads(x):
+    """(H, M, Dh) stack -> (M, H*Dh) rows; the inverse of ``split_heads``."""
+    x = _as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"merge_heads expects an (H, M, Dh) stack, got shape {x.shape}")
+    out = Tensor(_merge(x.data))
+    return _record(out, (x,), lambda g: (_split(g, x.shape[0]),))
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -283,17 +315,17 @@ def mean(a, axis=None, keepdims=False):
 
 
 def softmax_rows(x):
-    """Row-wise softmax, stabilized by subtracting the row max."""
+    """Softmax over the last axis, stabilized by subtracting the row max."""
     x = _as_tensor(x)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ShapeError(f"softmax_rows expects a non-empty matrix, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    if x.ndim not in (2, 3) or x.shape[-1] < 1:
+        raise ShapeError(f"softmax_rows expects a non-empty matrix or stack, got {x.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def back(g):
-        return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _record(out, (x,), back)
 
@@ -355,12 +387,6 @@ def sigmoid(x):
     return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
-def relu(x):
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0))
-    return _record(out, (x,), lambda g: (g * (x.data > 0),))
-
-
 def gather_rows(x, idx):
     """Select rows by index; backward scatter-adds into the source rows."""
     x = _as_tensor(x)
@@ -409,20 +435,6 @@ def scatter_rows(base, idx, rows):
     return _record(out, (base, rows), back)
 
 
-def slice_cols(x, start, stop):
-    x = _as_tensor(x)
-    if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"bad column slice [{start}:{stop}] for shape {x.shape}")
-    out = Tensor(x.data[:, start:stop].copy())
-
-    def back(g):
-        dx = np.zeros_like(x.data)
-        dx[:, start:stop] = g
-        return (dx,)
-
-    return _record(out, (x,), back)
-
-
 def concat_rows(parts):
     parts = [_as_tensor(p) for p in parts]
     widths = {p.shape[1] for p in parts}
@@ -433,22 +445,6 @@ def concat_rows(parts):
 
     def back(g):
         return tuple(g[offsets[i] : offsets[i + 1]].copy() for i in range(len(parts)))
-
-    return _record(out, tuple(parts), back)
-
-
-def concat_cols(parts):
-    parts = [_as_tensor(p) for p in parts]
-    heights = {p.shape[0] for p in parts}
-    if len(heights) != 1:
-        raise ShapeError(f"concat_cols height mismatch: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def back(g):
-        return tuple(
-            g[:, offsets[i] : offsets[i + 1]].copy() for i in range(len(parts))
-        )
 
     return _record(out, tuple(parts), back)
 

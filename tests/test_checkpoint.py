@@ -1,6 +1,11 @@
+import builtins
+import errno
+import os
+
 import numpy as np
 import pytest
 
+from morvit import checkpoint
 from morvit.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -117,6 +122,42 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+class _HalfWriter:
+    """A file whose write stores half of the bytes, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_old_checkpoint(tmp_path, monkeypatch):
+    c = cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, c, init_params(c).named())
+    before = path.read_bytes()
+
+    def half_writing_open(file, mode="r", *args, **kw):
+        fh = builtins.open(file, mode, *args, **kw)
+        return _HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(checkpoint, "open", half_writing_open, raising=False)
+    with pytest.raises(DataError):
+        save_checkpoint(path, c, init_params(c.replace(seed=1)).named())
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_rng_state_pack_unpack_identity():

@@ -85,6 +85,24 @@ def test_eval_missing_data_file_is_exit_2(tmp_path, micro_config_file, capsys):
     assert "/no/such.bin" in err
 
 
+def test_train_bad_label_after_first_record_is_exit_2(tmp_path, capsys):
+    cfg = micro_cfg(image_h=32, image_w=32, patch_size=8, epochs=1)
+    cfg_path = str(tmp_path / "cifar.cfg")
+    save_config(cfg, cfg_path)
+    blob = bytearray()
+    for label in (0, cfg.num_classes):  # CIFAR allows 0..9; this config only 0..3
+        blob.append(label)
+        blob.extend(bytes(3072))
+    data = tmp_path / "batch.bin"
+    data.write_bytes(bytes(blob))
+    code, _, err = run_cli(
+        ["train", "--config", cfg_path, "--data", str(data), "--out", str(tmp_path / "m.ckpt")],
+        capsys,
+    )
+    assert code == 2
+    assert f"label {cfg.num_classes} out of range" in err
+
+
 def test_eval_nan_checkpoint_is_exit_3(tmp_path, capsys):
     cfg = micro_cfg()
     params = init_params(cfg)

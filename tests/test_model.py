@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,23 @@ def test_total_loss_gradient_is_sum_of_parts():
     g_tot = run("total")
     for gt, gr, go in zip(g_task, g_rout, g_tot):
         assert np.abs(go - (gt + gr)).max() < 1e-12
+
+
+def test_backward_leaves_no_reference_cycles():
+    cfg = tiny_cfg()
+    recs, _ = synth_mixed_difficulty(2, 8, cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        params = init_params(cfg)
+        with Tape():
+            logits_list, traces = forward([r.image for r in recs], params, cfg)
+            loss = total_loss(logits_list, [r.label for r in recs], traces, cfg)
+        backward(loss)
+        del params, logits_list, traces, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- param_count

@@ -227,10 +227,3 @@ def test_bench_median_stable_within_bound():
     ratio = a["images_per_second"] / b["images_per_second"]
     assert 0.75 <= ratio <= 1.25
 
-
-def test_bench_f32_precision_reported():
-    cfg = tiny_cfg()
-    params = init_params(cfg)
-    images = [r.image for r in synth_mixed_difficulty(2, 43, cfg)[0]]
-    bench = bench_throughput(params, cfg, images, repeats=3, precision="f32")
-    assert bench["precision"] == "f32"

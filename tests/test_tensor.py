@@ -9,20 +9,20 @@ from morvit.tensor import (
     Tensor,
     add,
     backward,
-    concat_cols,
     concat_rows,
+    count_macs,
     cross_entropy,
     gather_rows,
     gelu,
     layernorm,
     matmul,
     mean,
+    merge_heads,
     mul,
-    relu,
     scatter_rows,
     sigmoid,
-    slice_cols,
     softmax_rows,
+    split_heads,
     transpose,
     tsum,
 )
@@ -57,6 +57,30 @@ def test_matmul_gradcheck():
     b = Tensor(rand((4, 2), seed=2), requires_grad=True)
     err = grad_check(lambda: tsum(matmul(a, b)), [a, b])
     assert err < 1e-6
+
+
+def test_matmul_stack_gradcheck():
+    a = Tensor(rand((2, 3, 4), seed=36), requires_grad=True)
+    b = Tensor(rand((2, 5, 4), seed=37), requires_grad=True)
+    w = Tensor(rand((2, 3, 5), seed=38))
+    err = grad_check(lambda: tsum(mul(matmul(a, transpose(b)), w)), [a, b])
+    assert err < 1e-6
+
+
+def test_matmul_stack_counts_every_head():
+    a, b = Tensor(rand((3, 2, 4), seed=39)), Tensor(rand((3, 4, 5), seed=40))
+    with count_macs() as counter:
+        out = matmul(a, b)
+    assert counter.macs == 3 * 2 * 4 * 5
+    for i in range(3):
+        assert np.array_equal(out.data[i], a.data[i] @ b.data[i])
+
+
+def test_matmul_stack_shape_errors():
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
 
 
 # ---------------------------------------------------------------- add / broadcasting
@@ -104,6 +128,14 @@ def test_softmax_no_overflow():
 def test_softmax_rows_sum_to_one(rows):
     out = softmax_rows(Tensor(np.array(rows)))
     assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_softmax_stack_rows_sum_to_one():
+    x = rand((3, 4, 5), seed=41, scale=20.0)
+    out = softmax_rows(Tensor(x))
+    assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-12)
+    for i in range(3):
+        assert np.array_equal(out.data[i], softmax_rows(Tensor(x[i])).data)
 
 
 def test_softmax_gradcheck():
@@ -165,14 +197,6 @@ def test_gelu_gradcheck():
     w = Tensor(rand((4, 3), seed=16))
     err = grad_check(lambda: tsum(mul(gelu(x), w)), [x])
     assert err < 1e-6
-
-
-def test_relu_forward_and_grad():
-    x = Tensor(np.array([[-1.0, 0.5, 2.0]]), requires_grad=True)
-    with Tape():
-        out = tsum(relu(x))
-    backward(out)
-    assert np.array_equal(x.grad, [[0.0, 1.0, 1.0]])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -244,13 +268,23 @@ def test_scatter_rejects_duplicate_indices():
 
 # ---------------------------------------------------------------- structural ops
 
-def test_slice_concat_inverse():
+def test_split_merge_heads_inverse():
     x = Tensor(rand((3, 6), seed=23), requires_grad=True)
-    parts = [slice_cols(x, 0, 2), slice_cols(x, 2, 6)]
-    out = concat_cols(parts)
-    assert np.array_equal(out.data, x.data)
+    heads = split_heads(x, 2)
+    assert heads.shape == (2, 3, 3)
+    assert np.array_equal(heads.data[1], x.data[:, 3:6])
+    assert np.array_equal(merge_heads(heads).data, x.data)
+    with pytest.raises(ShapeError):
+        split_heads(x, 4)
     rows = concat_rows([Tensor(rand((1, 4), seed=24)), Tensor(rand((2, 4), seed=25))])
     assert rows.shape == (3, 4)
+
+
+def test_split_merge_heads_gradcheck():
+    x = Tensor(rand((3, 6), seed=42), requires_grad=True)
+    w = Tensor(rand((3, 6), seed=43))
+    err = grad_check(lambda: tsum(mul(merge_heads(softmax_rows(split_heads(x, 3))), w)), [x])
+    assert err < 1e-6
 
 
 def test_transpose_gradcheck():
