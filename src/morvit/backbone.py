@@ -17,6 +17,7 @@ from .tensor import (
     Tensor,
     add,
     concat_rows,
+    gather_rows,
     gelu,
     layernorm,
     matmul,
@@ -141,31 +142,45 @@ def patchify(image, patch_size):
 
 
 def embed(patches, ep: EmbedParams):
-    """Project patches, prepend the class token, add positional rows."""
+    """Project patches, prepend the class token, add positional rows.
+
+    ``patches`` holds the N patch rows of B images one after another; the
+    result holds B blocks of N+1 rows, each the class token then the image's
+    patches.
+    """
     if patches.shape[1] != ep.w_e.shape[0]:
         raise ShapeError(
             f"patch width {patches.shape[1]} does not match projection rows {ep.w_e.shape[0]}"
         )
-    if patches.shape[0] + 1 != ep.e_pos.shape[0]:
+    tokens = ep.e_pos.shape[0]
+    images, extra = divmod(patches.shape[0], tokens - 1)
+    if extra or not images:
         raise ShapeError(
-            f"{patches.shape[0]} patches need {patches.shape[0] + 1} positional rows, "
-            f"table has {ep.e_pos.shape[0]}"
+            f"{patches.shape[0]} patches are not a whole number of images of {tokens - 1} "
+            f"patches ({tokens} positional rows)"
         )
-    rows = add(matmul(patches, ep.w_e), ep.b_e)
-    z = concat_rows([ep.x_cls, rows])
-    return add(z, ep.e_pos)
+    z = concat_rows([ep.x_cls, add(matmul(patches, ep.w_e), ep.b_e)])
+    if images == 1:
+        return add(z, ep.e_pos)
+    # image b's row t is row 0 of z (the class token) for t = 0, else row
+    # b*N + t, and its positional row is t
+    pos = np.arange(images * tokens) % tokens
+    src = np.arange(images * tokens) - np.arange(images * tokens) // tokens
+    src[pos == 0] = 0
+    return add(gather_rows(z, src), gather_rows(ep.e_pos, pos))
 
 
-def encoder_block(h, blk: BlockParams):
-    """Pre-norm block over the M rows of h; attention sees only those rows."""
+def encoder_block(h, blk: BlockParams, images=1):
+    """Pre-norm block over the rows of h, which hold ``images`` equal runs of
+    M rows; attention sees only the rows of its own run."""
     scale = 1.0 / math.sqrt(h.shape[1] // blk.heads)
 
     a = layernorm(h, blk.ln1_g, blk.ln1_b, LN_EPS)
-    q = split_heads(add(matmul(a, blk.wq), blk.bq), blk.heads)  # (H, M, dh)
-    k = split_heads(add(matmul(a, blk.wk), blk.bk), blk.heads)
-    v = split_heads(add(matmul(a, blk.wv), blk.bv), blk.heads)
-    att = softmax_rows(mul(matmul(q, transpose(k)), scale))  # (H, M, M)
-    o = add(matmul(merge_heads(matmul(att, v)), blk.wo), blk.bo)
+    q = split_heads(add(matmul(a, blk.wq), blk.bq), blk.heads, images)  # (S*H, M, dh)
+    k = split_heads(add(matmul(a, blk.wk), blk.bk), blk.heads, images)
+    v = split_heads(add(matmul(a, blk.wv), blk.bv), blk.heads, images)
+    att = softmax_rows(mul(matmul(q, transpose(k)), scale))  # (S*H, M, M)
+    o = add(matmul(merge_heads(matmul(att, v), images), blk.wo), blk.bo)
     h1 = add(h, o)
 
     n = layernorm(h1, blk.ln2_g, blk.ln2_b, LN_EPS)

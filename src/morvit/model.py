@@ -20,7 +20,18 @@ from .backbone import (
 )
 from .errors import NumericError
 from .routing import RouterParams, init_router_params, run_recursion
-from .tensor import Tensor, add, cross_entropy, gather_rows, mean, mul, softmax_rows, sub, tsum
+from .tensor import (
+    Tensor,
+    add,
+    cross_entropy,
+    gather_rows,
+    mean,
+    mul,
+    softmax_rows,
+    split_heads,
+    sub,
+    tsum,
+)
 
 
 # Tensor fields of BlockParams in declaration order, which fixes the names
@@ -78,19 +89,26 @@ def init_params(cfg, gen=None) -> ModelParams:
     )
 
 
+def forward(images, params: ModelParams, cfg, hooks=None):
+    """The whole batch through one step-synchronous recursion.
+
+    Returns one (1, C) logits tensor and one trace per image, in order.
+    """
+    if not images:
+        return [], []
+    patches = Tensor(np.concatenate([patchify(img, cfg.patch_size).data for img in images]))
+    z0 = embed(patches, params.embed)
+    hidden, traces = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
+    logits = classify(gather_rows(hidden, np.arange(len(images)) * cfg.tokens), params.head)
+    if len(images) == 1:
+        return [logits], traces
+    return [gather_rows(logits, [b]) for b in range(len(images))], traces
+
+
 def forward_sample(image, params: ModelParams, cfg, hooks=None):
     """One image through the network; returns ((1, C) logits, trace)."""
-    patches = patchify(image, cfg.patch_size)
-    z0 = embed(patches, params.embed)
-    hidden, trace = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
-    logits = classify(gather_rows(hidden, [0]), params.head)
+    (logits,), (trace,) = forward([image], params, cfg, hooks=hooks)
     return logits, trace
-
-
-def forward(images, params: ModelParams, cfg, hooks=None):
-    """Batch forward as a per-sample loop; traces come back per sample."""
-    results = [forward_sample(img, params, cfg, hooks=hooks) for img in images]
-    return [r[0] for r in results], [r[1] for r in results]
 
 
 def task_loss(logits_list, labels):
@@ -102,38 +120,43 @@ def task_loss(logits_list, labels):
     return mul(total, 1.0 / len(losses))
 
 
-def _routing_term(trace, kappa):
-    if trace.mode == "expert_choice":
-        # mean over steps of (mean gate - kappa)^2, over the scored tokens
-        terms = []
-        for s in trace.step_scores:
-            dev = sub(mean(s), kappa)
-            terms.append(mul(dev, dev))
-        total = terms[0]
-        for t in terms[1:]:
-            total = add(total, t)
-        return mul(total, 1.0 / len(terms))
-    if trace.mode == "token_choice":
-        # budget alignment: expected normalized depth should sit at kappa
-        logits = trace.depth_logits                      # (N, R)
-        r = logits.shape[1]
-        levels = Tensor(np.arange(1, r + 1, dtype=np.float64).reshape(r, 1) / r)
-        probs = softmax_rows(logits)
-        exp_depth = mean(probs @ levels)                 # scalar in (0, 1]
-        dev = sub(exp_depth, kappa)
-        return mul(dev, dev)
-    return Tensor(np.asarray(0.0))
+def _routing_terms(batch, mode, kappa):
+    """(B, 1) routing terms of the images of one batch."""
+    if mode == "expert_choice":
+        # mean over steps of (mean gate - kappa)^2, each mean over the image's
+        # scored tokens; every image of a batch runs every step
+        total = None
+        for s in batch.step_scores:
+            gates = split_heads(s, 1, batch.images)                # (B, A, 1)
+            dev = sub(mean(gates, axis=1), kappa)
+            sq = mul(dev, dev)
+            total = sq if total is None else add(total, sq)
+        return mul(total, 1.0 / len(batch.step_scores))
+    # token_choice budget alignment: expected normalized depth should sit at kappa
+    logits = batch.depth_logits                                    # (B*N, R)
+    r = logits.shape[1]
+    levels = Tensor(np.arange(1, r + 1, dtype=np.float64).reshape(r, 1) / r)
+    exp_depth = mean(split_heads(softmax_rows(logits) @ levels, 1, batch.images), axis=1)
+    dev = sub(exp_depth, kappa)  # exp_depth is (B, 1), each in (0, 1]
+    return mul(dev, dev)
 
 
 def routing_loss(traces, kappa):
-    """Squared deviation of the per-step mean gate from the keep target."""
+    """Mean over images of the routing term: the squared deviation of the
+    per-step mean gate (expert-choice) or of the expected normalized depth
+    (token-choice) from the keep target."""
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"target keep fraction must be in (0, 1], got {kappa}")
-    terms = [_routing_term(t, kappa) for t in traces]
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return mul(total, 1.0 / len(terms))
+    if traces[0].mode == "static":
+        return Tensor(np.asarray(0.0))
+    images = {}  # batch -> positions of the given traces in it
+    for t in traces:
+        images.setdefault(t.batch, []).append(t.index)
+    total = None
+    for batch, idx in images.items():
+        part = tsum(gather_rows(_routing_terms(batch, traces[0].mode, kappa), idx))
+        total = part if total is None else add(total, part)
+    return mul(total, 1.0 / len(traces))
 
 
 def total_loss(logits_list, labels, traces, cfg):

@@ -1,12 +1,12 @@
-"""Per-token recursion routing.
+"""Per-token recursion routing, run for a whole batch of images at once.
 
 At every recursion step a lightweight router scores each still-active patch
 token; the top share of scorers (set by ``beta``) continues, everyone else
 exits and keeps its hidden state frozen from that point on. Survivors are
 updated as ``h <- g * block(h) + h`` where ``g`` is the token's own gate, and
-the block attends only over the surviving rows plus the class token. The
-class token never exits, is never counted against the keep budget, and is
-updated ungated.
+the block attends only over its own image's surviving rows plus that image's
+class token. The class token never exits, is never counted against the keep
+budget, and is updated ungated.
 
 Three modes:
 
@@ -15,6 +15,13 @@ Three modes:
   up front from its initial embedding; updates are ungated.
 * ``static``        - no router at all; every token runs all steps (the
   ablation baseline).
+
+The batch is one step-synchronous computation. Its hidden state is a
+(B*(N+1), D) row matrix in which image b owns rows [b*(N+1), (b+1)*(N+1)).
+At each step the rows that take part are packed into one matrix per group of
+images with the same number of participants, and each group goes through the
+block once. Expert-choice keeps the same count in every image and static
+keeps all tokens, so those modes always form a single group.
 """
 
 from __future__ import annotations
@@ -90,28 +97,30 @@ class RoutingHooks:
     force_keep: np.ndarray = None
 
 
-@dataclass
-class TokenState:
-    hidden: Tensor                 # (N+1, D)
-    active: np.ndarray             # (N+1,) bool; row 0 is the class token
-    exit_depth: np.ndarray         # (N+1,) int, filled in as tokens exit
+@dataclass(eq=False)
+class BatchRouting:
+    """Graph tensors of one batch's routing decisions, shared by its traces."""
+
+    images: int
+    step_scores: list = field(default_factory=list)   # per step: (B*A_r, 1), A_r rows per image
+    depth_logits: Tensor = None                       # token_choice only: (B*N, R)
 
 
 @dataclass
 class RoutingTrace:
-    """Everything the profiler and exporter need from one forward pass."""
+    """Everything the profiler and exporter need from one image's forward pass."""
 
     mode: str
     beta: float
     max_steps: int
     num_patches: int
-    step_scores: list = field(default_factory=list)       # graph tensors (A_r, 1)
     step_scored: list = field(default_factory=list)       # active patch count at step start
     step_selected: list = field(default_factory=list)     # K kept
     step_attended: list = field(default_factory=list)     # rows fed to the block (kept + class)
     exit_depth: np.ndarray = None                         # (N+1,)
-    exit_hidden: dict = field(default_factory=dict)       # token -> frozen row copy
-    depth_logits: Tensor = None                           # token_choice only
+    exit_hidden: dict = field(default_factory=dict)       # token -> frozen row
+    batch: BatchRouting = None                            # routing tensors of the image's batch
+    index: int = 0                                        # the image's position in that batch
 
     def depth_histogram(self):
         """Patch exit-depth counts over 1..max_steps (class token excluded)."""
@@ -132,147 +141,168 @@ def routing_score(h_rows, step: StepRouter):
 def select_active(scores, beta):
     """Keep the top K = max(1, round((1-beta)*A)) of A scores.
 
-    Ordering is (score desc, index asc), which makes ties deterministic and
-    the kept count exact. ``round`` is Python's round-half-even. Returns
-    (threshold, kept_indices) where the threshold is the K-th largest score
-    and kept indices are sorted ascending.
+    ``scores`` is one vector of A scores, or a (B, A) matrix with one image's
+    scores per row. Ordering is (score desc, index asc), which makes ties
+    deterministic and the kept count exact. ``round`` is Python's
+    round-half-even. Returns (threshold, kept_indices) where the threshold is
+    the K-th largest score and kept indices are sorted ascending; for a
+    matrix both are per row, of shapes (B,) and (B, K).
     """
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    a = scores.size
-    if a == 0:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim not in (1, 2):
+        raise ShapeError(f"select_active expects a vector or a matrix, got shape {scores.shape}")
+    if scores.size == 0:
         raise ShapeError("select_active on an empty active set")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    k = max(1, round((1.0 - beta) * a))
-    order = np.lexsort((np.arange(a), -scores))
-    kept = order[:k]
-    threshold = float(scores[order[k - 1]])
-    return threshold, np.sort(kept)
+    k = max(1, round((1.0 - beta) * scores.shape[-1]))
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    threshold = np.take_along_axis(scores, order[..., k - 1 :], axis=-1)[..., 0]
+    kept = np.sort(order, axis=-1)
+    return (float(threshold), kept) if scores.ndim == 1 else (threshold, kept)
 
 
-def token_choice_assign(z0, router: RouterParams):
+def token_choice_assign(z0, router: RouterParams, images=1):
     """Assign each patch token a fixed depth from its initial embedding.
 
-    Depth is the argmax over per-depth logits; ties break toward the
-    smaller depth. Returns (depths over patches, logits graph tensor).
+    ``z0`` holds ``images`` equal blocks of rows, each a class token and then
+    that image's patches. Depth is the argmax over per-depth logits; ties
+    break toward the smaller depth. Returns (depths over the patches of every
+    image in order, (patches, R) logits graph tensor).
     """
-    n_total = z0.shape[0]
-    patches = gather_rows(z0, np.arange(1, n_total))
-    logits = add(matmul(patches, router.choice_w), router.choice_b)  # (N, R)
+    tokens = z0.shape[0] // images
+    patches = gather_rows(z0, np.flatnonzero(np.arange(z0.shape[0]) % tokens))
+    logits = add(matmul(patches, router.choice_w), router.choice_b)  # (B*N, R)
     depths = np.argmax(logits.data, axis=1) + 1  # first max wins = smaller depth
     return depths.astype(np.int64), logits
 
 
-def _expert_choice_step(state, block, step_router, r, beta, trace, hooks):
-    h = state.hidden
-    active_patches = np.flatnonzero(state.active[1:]) + 1
-    a = active_patches.size
-    scores = routing_score(gather_rows(h, active_patches), step_router)
-    trace.step_scores.append(scores)
-    trace.step_scored.append(int(a))
+def _expert_choice_take(h, active, step_router, beta, batch, hooks):
+    """Score every active patch and keep each image's top K.
 
-    _, kept_local = select_active(scores.data[:, 0], beta)
+    Returns the (B, N+1) mask of the rows that take part, the gates as
+    (source tensor, (B, N+1) map from a row to its source row) and the
+    number of patches each image scored. Row 0 of the source is the class
+    token's gate of 1, row 1 + j is the j-th score.
+    """
+    images, tokens = active.shape
+    live = active.copy()
+    live[:, 0] = False
+    rows = np.flatnonzero(live)                 # image-major, A per image
+    scores = routing_score(gather_rows(h, rows), step_router)  # (B*A, 1)
+    batch.step_scores.append(scores)
+    a = rows.size // images
+
     if hooks is not None and hooks.force_keep is not None:
-        kept_global = np.asarray(hooks.force_keep, dtype=np.intp)
-        kept_local = np.searchsorted(active_patches, kept_global)
+        pick = np.flatnonzero(np.isin(rows % tokens, hooks.force_keep))
     else:
-        kept_global = active_patches[kept_local]
-    trace.step_selected.append(int(kept_global.size))
-
-    participants = np.concatenate(([0], kept_global))
-    trace.step_attended.append(int(participants.size))
-    sub = gather_rows(h, participants)
-    f_out = encoder_block(sub, block)
-
+        _, kept = select_active(scores.data.reshape(images, a), beta)
+        pick = (kept + a * np.arange(images)[:, None]).ravel()
+    take = np.zeros(images * tokens, dtype=bool)
+    take[::tokens] = True
+    take[rows[pick]] = True
+    slot = np.zeros(images * tokens, dtype=np.intp)
     if hooks is not None and hooks.force_gate is not None:
-        gates = Tensor(np.full((participants.size, 1), float(hooks.force_gate)))
+        source = Tensor(np.full((1, 1), float(hooks.force_gate)))
     else:
-        kept_scores = gather_rows(scores, kept_local)          # (K, 1)
-        gates = concat_rows([Tensor(np.ones((1, 1))), kept_scores])
-    updated = add(mul(gates, f_out), sub)
-    state.hidden = scatter_rows(h, participants, updated)
-
-    dropped = np.setdiff1d(active_patches, kept_global, assume_unique=True)
-    for t in dropped:
-        state.active[t] = False
-        state.exit_depth[t] = r
-        trace.exit_hidden[int(t)] = state.hidden.data[t].copy()
-    return state
+        slot[rows[pick]] = pick + 1
+        source = concat_rows([Tensor(np.ones((1, 1))), scores])
+    return take.reshape(images, tokens), (source, slot.reshape(images, tokens)), a
 
 
-def _token_choice_step(state, block, depths, r, trace):
-    h = state.hidden
-    active_patches = np.flatnonzero(state.active[1:]) + 1
-    participants = np.concatenate(([0], active_patches))
-    trace.step_scored.append(int(active_patches.size))
-    trace.step_selected.append(int(active_patches.size))
-    trace.step_attended.append(int(participants.size))
+def _apply_block(h, block, take, counts, gates):
+    """Update every taken row as g * block(rows) + rows.
 
-    sub = gather_rows(h, participants)
-    f_out = encoder_block(sub, block)
-    state.hidden = scatter_rows(h, participants, add(f_out, sub))
-
-    leaving = active_patches[depths[active_patches - 1] == r]
-    for t in leaving:
-        state.active[t] = False
-        state.exit_depth[t] = r
-        trace.exit_hidden[int(t)] = state.hidden.data[t].copy()
-    return state
-
-
-def _static_step(state, block, trace):
-    h = state.hidden
-    trace.step_scored.append(0)
-    trace.step_selected.append(int(state.active[1:].sum()))
-    trace.step_attended.append(int(h.shape[0]))
-    state.hidden = add(encoder_block(h, block), h)
-    return state
-
-
-def recursion_step(state, block, step_router, r, beta, trace, hooks=None):
-    """One expert-choice step: score, select, gated update, freeze exits."""
-    if not state.active[0]:
-        raise ShapeError("class token must stay active")
-    return _expert_choice_step(state, block, step_router, r, beta, trace, hooks)
+    ``counts`` holds each image's number of taken rows. Images with the same
+    count form one group and go through the block together, each image's
+    rows attending only to each other. ``gates`` is None for an ungated
+    update, else as ``_expert_choice_take`` returns it.
+    """
+    sizes = sorted(set(counts) - {0})
+    for m in sizes:
+        members = counts.count(m)
+        group = take if len(sizes) == 1 else take & (np.asarray(counts) == m)[:, None]
+        whole = members * m == take.size  # every row of the batch, in order
+        if not whole:
+            rows = np.flatnonzero(group)
+        sub = h if whole else gather_rows(h, rows)
+        out = encoder_block(sub, block, members)
+        if gates is not None:
+            source, slot = gates
+            out = mul(gather_rows(source, slot[group]), out)
+        out = add(out, sub)
+        h = out if whole else scatter_rows(h, rows, out)
+    return h
 
 
 def run_recursion(z0, blocks, router: RouterParams, cfg, hooks=None):
-    """Drive the recursion for up to max_recursion steps.
+    """Drive the recursion of a batch for up to max_recursion steps.
 
+    ``z0`` holds each image's N+1 rows in turn, as ``embed`` returns them.
     ``blocks`` holds one block when parameters are shared, else one per
-    step. Exited rows are carried through scatter copies, so they stay
+    step. An image stops taking part once none of its patches is active.
+    Exited rows are carried through scatter copies, so they stay
     bit-identical to the step they exited at. Returns the aggregated
-    (N+1) x D hidden tensor and the populated trace.
+    (B*(N+1), D) hidden tensor and one trace per image.
     """
-    n_total = z0.shape[0]
-    state = TokenState(
-        hidden=z0,
-        active=np.ones(n_total, dtype=bool),
-        exit_depth=np.zeros(n_total, dtype=np.int64),
-    )
+    tokens = cfg.tokens
+    images, extra = divmod(z0.shape[0], tokens)
+    if extra or not images:
+        raise ShapeError(f"{z0.shape[0]} rows are not a whole number of {tokens}-token images")
     r_max = cfg.max_recursion
-    trace = RoutingTrace(
-        mode=router.mode, beta=cfg.beta, max_steps=r_max, num_patches=n_total - 1
-    )
+    batch = BatchRouting(images=images)
+    traces = [
+        RoutingTrace(mode=router.mode, beta=cfg.beta, max_steps=r_max,
+                     num_patches=tokens - 1, batch=batch, index=b)
+        for b in range(images)
+    ]
+    active = np.ones((images, tokens), dtype=bool)  # column 0 is the class token
+    # survivors, and always the class token, carry the full depth
+    exit_depth = np.full((images, tokens), r_max, dtype=np.int64)
 
-    depths = None
     if router.mode == "token_choice":
-        depths, logits = token_choice_assign(z0, router)
-        trace.depth_logits = logits
+        depths, batch.depth_logits = token_choice_assign(z0, router, images)
+        depths = depths.reshape(images, tokens - 1)
+        # each token's last step; the class token runs while its image has patches
+        last = np.concatenate([depths.max(axis=1, keepdims=True), depths], axis=1)
 
+    h = z0
     for r in range(1, r_max + 1):
-        if not state.active[1:].any():
-            break  # only the class token left; nothing to route
         block = blocks[0] if len(blocks) == 1 else blocks[r - 1]
         if router.mode == "expert_choice":
-            state = _expert_choice_step(state, block, router.steps[r - 1], r, cfg.beta, trace, hooks)
+            take, gates, scored = _expert_choice_take(
+                h, active, router.steps[r - 1], cfg.beta, batch, hooks)
         elif router.mode == "token_choice":
-            state = _token_choice_step(state, block, depths, r, trace)
+            # every live patch continues, so an image scores what it keeps
+            take, gates, scored = last >= r, None, None
         else:
-            state = _static_step(state, block, trace)
+            take, gates, scored = active, None, 0
+        counts = take.sum(axis=1).tolist()
+        if not any(counts):
+            break  # only class tokens left; nothing to route
+        for trace, m in zip(traces, counts):
+            if m:
+                trace.step_scored.append(m - 1 if scored is None else scored)
+                trace.step_selected.append(m - 1)
+                trace.step_attended.append(m)
 
-    # survivors (and always the class token) carry the full depth
-    state.exit_depth[state.active] = r_max
-    state.exit_depth[0] = r_max
-    trace.exit_depth = state.exit_depth.copy()
-    return state.hidden, trace
+        h = _apply_block(h, block, take, counts, gates)
+
+        if router.mode == "expert_choice":
+            leaving = active & ~take
+            active = take
+        elif router.mode == "token_choice":
+            leaving = last == r
+            leaving[:, 0] = False
+        else:
+            continue
+        flat = np.flatnonzero(leaving)
+        exit_depth.reshape(-1)[flat] = r
+        frozen = h.data[flat]
+        for row, g in zip(frozen, flat.tolist()):
+            b, t = divmod(g, tokens)
+            traces[b].exit_hidden[t] = row
+
+    for trace, depth in zip(traces, exit_depth):
+        trace.exit_depth = depth
+    return h, traces

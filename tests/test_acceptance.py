@@ -124,7 +124,7 @@ def test_a4_frozen_exits():
         params = init_params(cfg.replace(seed=seed))
         rec = synth_mixed_difficulty(1, 2000 + seed, cfg)[0][0]
         z0 = embed(patchify(rec.image, cfg.patch_size), params.embed)
-        hidden, trace = run_recursion(z0, params.blocks, params.router, cfg)
+        hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
         for tok, row in trace.exit_hidden.items():
             frozen_ok &= hidden.data[tok].tobytes() == row.tobytes()
         scored = trace.step_scored

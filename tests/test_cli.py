@@ -76,6 +76,19 @@ def test_train_then_eval_consistency(tmp_path, micro_config_file, capsys):
     assert eval_acc == final_train_acc
 
 
+def test_resume_with_a_different_config_is_exit_2(tmp_path, micro_config_file, capsys):
+    ckpt = str(tmp_path / "m.ckpt")
+    code, _, err = run_cli(["train", "--config", micro_config_file, "--data", "synth",
+                            "--out", ckpt], capsys)
+    assert code == 0, err
+    other = str(tmp_path / "other.cfg")
+    save_config(micro_cfg(epochs=3, beta=0.25), other)
+    code, _, err = run_cli(["train", "--config", other, "--data", "synth", "--out", ckpt,
+                            "--resume", ckpt], capsys)
+    assert code == 2
+    assert "beta" in err
+
+
 def test_eval_missing_data_file_is_exit_2(tmp_path, micro_config_file, capsys):
     ckpt = str(tmp_path / "m.ckpt")
     cfg = micro_cfg()

@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from morvit.model import (
     task_loss,
     total_loss,
 )
-from morvit.routing import run_recursion
-from morvit.tensor import Tape, Tensor, add, backward, gather_rows
+from morvit.profiler import count_flops
+from morvit.tensor import Tape, Tensor, add, backward, count_macs, gather_rows
 from oracles import grad_check
 
 
@@ -69,6 +70,57 @@ def test_forward_deterministic_across_runs():
     a, _ = forward_sample(img, params, cfg)
     b, _ = forward_sample(img, params, cfg)
     assert a.data.tobytes() == b.data.tobytes()
+
+
+# ---------------------------------------------------------------- batch
+
+MODES = ("expert_choice", "token_choice", "static")
+
+
+def mixed_batch(cfg, seed):
+    recs, _ = synth_mixed_difficulty(3, seed, cfg)
+    return [r.image for r in recs], [r.label for r in recs]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_batch_matches_each_image_alone(mode):
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode).validate()
+    params = init_params(cfg)
+    images, _ = mixed_batch(cfg, 14)
+    logits_list, traces = forward(images, params, cfg)
+    for img, logits, trace in zip(images, logits_list, traces):
+        alone, solo = forward_sample(img, params, cfg)
+        assert np.abs(logits.data - alone.data).max() < 1e-12
+        assert np.array_equal(trace.exit_depth, solo.exit_depth)
+        assert trace.step_scored == solo.step_scored
+        assert trace.step_selected == solo.step_selected
+        assert trace.step_attended == solo.step_attended
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_batch_macs_match_counted_flops(mode):
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode).validate()
+    params = init_params(cfg)
+    images, _ = mixed_batch(cfg, 15)
+    with count_macs() as counter:
+        _, traces = forward(images, params, cfg)
+    assert 2 * counter.macs == sum(count_flops(cfg, t).total_flops for t in traces)
+
+
+@pytest.mark.parametrize("mode", ("expert_choice", "token_choice"))
+def test_batch_total_loss_gradcheck(mode):
+    cfg = tiny_cfg(routing_mode=mode, routing_lambda=0.5)
+    params = init_params(cfg)
+    images, labels = mixed_batch(cfg, 16)
+
+    def loss():
+        logits_list, traces = forward(images, params, cfg)
+        return total_loss(logits_list, labels, traces, cfg)
+
+    router = ([params.router.steps[0].w, params.router.steps[1].b] if mode == "expert_choice"
+              else [params.router.choice_w, params.router.choice_b])
+    probes = [params.embed.e_pos, params.blocks[0].wq, params.head.w] + router
+    assert grad_check(loss, probes) < 1e-4
 
 
 # ---------------------------------------------------------------- losses
@@ -200,6 +252,23 @@ def test_backward_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_batch_forward_reuses_heap_blocks():
+    # a desk-bench batch of 8 allocates 0.5-2 MB arrays every step; with
+    # glibc's dynamic mmap threshold each forward page-faulted ~1,000 times
+    resource = pytest.importorskip("resource")
+    cfg = PRESETS["desk-bench"]
+    recs, _ = synth_mixed_difficulty(8, 3, cfg)
+    images = [r.image for r in recs]
+    params = init_params(cfg)
+    for _ in range(2):
+        forward(images, params, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        forward(images, params, cfg)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 # ---------------------------------------------------------------- param_count

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import morvit.routing as routing
 from morvit.backbone import encoder_block, patchify, embed
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
 from morvit.model import init_params, forward_sample, total_loss
 from morvit.routing import (
     RoutingHooks,
-    RoutingTrace,
     StepRouter,
-    TokenState,
-    recursion_step,
     routing_score,
     run_recursion,
     select_active,
@@ -108,48 +106,41 @@ def test_select_keeps_top_scores(a, beta, seed):
     assert thr == sorted(scores, reverse=True)[k - 1]
 
 
-# ---------------------------------------------------------------- recursion_step
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9])
+def test_select_matrix_matches_row_by_row(beta):
+    scores = np.round(gen(5).random((6, 11)), 1)  # one decimal, so rows hold ties
+    scores[2] = 0.5
+    thr, kept = select_active(scores, beta)
+    assert kept.shape == (6, max(1, round((1.0 - beta) * 11)))
+    for b in range(6):
+        row_thr, row_kept = select_active(scores[b], beta)
+        assert thr[b] == row_thr
+        assert np.array_equal(kept[b], row_kept)
 
-def make_state(z0):
-    n = z0.shape[0]
-    return TokenState(
-        hidden=z0,
-        active=np.ones(n, dtype=bool),
-        exit_depth=np.zeros(n, dtype=np.int64),
-    )
 
-
-def make_trace(cfg):
-    return RoutingTrace(mode="expert_choice", beta=cfg.beta,
-                        max_steps=cfg.max_recursion, num_patches=cfg.num_patches)
-
+# ---------------------------------------------------------------- one step
 
 def test_step_gate_zero_limit():
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=5)
     params.router.steps[0].b.data[:] = -50.0
-    state = make_state(z0)
-    trace = make_trace(cfg)
-    out = recursion_step(state, params.blocks[0], params.router.steps[0], 1,
-                         cfg.beta, trace)
-    survivors = np.flatnonzero(out.active[1:]) + 1
-    assert np.abs(out.hidden.data[survivors] - z0.data[survivors]).max() < 1e-15
+    hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
+    survivors = [t for t in range(1, cfg.tokens) if t not in trace.exit_hidden]
+    assert len(survivors) == trace.step_selected[0] == 2
+    assert np.abs(hidden.data[survivors] - z0.data[survivors]).max() < 1e-15
 
 
 def test_step_gates_hooked_one_matches_block_composition():
-    cfg = tiny_cfg(beta=0.0)
+    cfg = tiny_cfg(beta=0.0, max_recursion=1)
     z0, params = random_z0(cfg, seed=6)
-    state = make_state(z0)
-    trace = make_trace(cfg)
     hooks = RoutingHooks(force_gate=1.0)
-    out = recursion_step(state, params.blocks[0], params.router.steps[0], 1,
-                         0.0, trace, hooks=hooks)
+    hidden, _ = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
     oracle = add(z0, encoder_block(z0, params.blocks[0]))
-    assert np.abs(out.hidden.data - oracle.data).max() == 0.0
+    assert np.abs(hidden.data - oracle.data).max() == 0.0
 
 
 def test_step_hand_set_scores():
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=7)
     # router reads only coordinate 0; plant known values there
     z0 = Tensor(z0.data.copy())
@@ -157,16 +148,13 @@ def test_step_hand_set_scores():
     params.router.steps[0].w.data[:] = 0.0
     params.router.steps[0].w.data[0, 0] = 1.0
     params.router.steps[0].b.data[:] = 0.0
-    state = make_state(z0)
-    trace = make_trace(cfg)
-    out = recursion_step(state, params.blocks[0], params.router.steps[0], 1,
-                         0.5, trace)
+    hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
     # scores rank tokens 1 and 3 highest; beta=0.5 keeps K=2
-    assert np.array_equal(np.flatnonzero(out.active), [0, 1, 3])
-    assert np.array_equal(out.exit_depth, [0, 0, 1, 0, 1])
+    assert sorted(trace.exit_hidden) == [2, 4]
+    assert trace.step_selected == [2] and trace.step_attended == [3]
     exited = [2, 4]
-    assert np.array_equal(out.hidden.data[exited], z0.data[exited])
-    assert out.hidden.data[exited].tobytes() == z0.data[exited].tobytes()
+    assert hidden.data[exited].tobytes() == z0.data[exited].tobytes()
+    assert np.abs(hidden.data[[1, 3]] - z0.data[[1, 3]]).max() > 0.0
 
 
 # ---------------------------------------------------------------- run_recursion
@@ -174,7 +162,7 @@ def test_step_hand_set_scores():
 def test_run_r1_every_token_depth_one():
     cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=8)
-    _, trace = run_recursion(z0, params.blocks, params.router, cfg)
+    _, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
     assert np.array_equal(trace.exit_depth[1:], np.ones(cfg.num_patches))
     assert trace.exit_depth[0] == 1
 
@@ -194,7 +182,7 @@ def test_run_counting_invariants():
     cfg = tiny_cfg(max_recursion=4, beta=0.25)
     for seed in range(5):
         z0, params = random_z0(cfg, seed=20 + seed)
-        _, trace = run_recursion(z0, params.blocks, params.router, cfg)
+        _, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
         scored = trace.step_scored
         assert all(scored[i + 1] <= scored[i] for i in range(len(scored) - 1))
         assert sum(trace.depth_histogram().values()) == cfg.num_patches
@@ -204,20 +192,18 @@ def test_run_frozen_exits_bit_identical():
     cfg = tiny_cfg(max_recursion=3, beta=0.5)
     for seed in range(10):
         z0, params = random_z0(cfg, seed=40 + seed)
-        hidden, trace = run_recursion(z0, params.blocks, params.router, cfg)
+        hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
         for tok, frozen in trace.exit_hidden.items():
             assert hidden.data[tok].tobytes() == frozen.tobytes()
 
 
 def test_run_force_keep_hook():
-    cfg = tiny_cfg()
+    cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=60)
     hooks = RoutingHooks(force_keep=np.array([2, 4]))
-    state = make_state(z0)
-    trace = make_trace(cfg)
-    out = recursion_step(state, params.blocks[0], params.router.steps[0], 1,
-                         cfg.beta, trace, hooks=hooks)
-    assert np.array_equal(np.flatnonzero(out.active), [0, 2, 4])
+    _, (trace,) = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
+    assert sorted(trace.exit_hidden) == [1, 3]
+    assert trace.step_attended == [3]
 
 
 def test_gradient_reaches_step_routers():
@@ -255,12 +241,12 @@ def test_permutation_equivariance_of_exit_depths():
     img = g.random((cfg.image_h, cfg.image_w, cfg.channels))
     patches = patchify(img, cfg.patch_size)
     z0 = embed(patches, params.embed)
-    _, trace = run_recursion(z0, params.blocks, params.router, cfg)
+    _, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
 
     perm = g.permutation(cfg.num_patches)
     params.embed.e_pos.data[1:] = params.embed.e_pos.data[1:][perm]
     z0p = embed(Tensor(patches.data[perm]), params.embed)
-    _, trace_p = run_recursion(z0p, params.blocks, params.router, cfg)
+    _, (trace_p,) = run_recursion(z0p, params.blocks, params.router, cfg)
     assert np.array_equal(trace_p.exit_depth[1:], trace.exit_depth[1:][perm])
 
 
@@ -305,6 +291,44 @@ def test_token_choice_run_depths_respected():
     cfg = tc_cfg()
     z0, params = random_z0(cfg, seed=73)
     depths, _ = token_choice_assign(z0, params.router)
-    _, trace = run_recursion(z0, params.blocks, params.router, cfg)
+    _, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
     assert np.array_equal(trace.exit_depth[1:], depths)
     assert trace.exit_depth[0] == cfg.max_recursion
+
+
+def test_token_choice_batch_groups_by_participant_count(monkeypatch):
+    cfg = tc_cfg()
+    params = init_params(cfg)
+    # depth logits read coordinate 0 only: +1 -> depth 3, 0 -> depth 2, -1 -> depth 1
+    params.router.choice_w.data[:] = 0.0
+    params.router.choice_w.data[0] = [-10.0, 0.0, 10.0]
+    params.router.choice_b.data[:] = [0.0, 1.0, 0.0]
+    planted = ([1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0], [1.0, -1.0, 0.0, -1.0])
+    z0s = []
+    for b, values in enumerate(planted):
+        z = random_z0(cfg, seed=80 + b)[0].data.copy()
+        z[1:, 0] = values
+        z0s.append(z)
+
+    calls = []
+    block = routing.encoder_block
+
+    def counted(h, blk, images=1):
+        calls.append((h.shape[0], images))
+        return block(h, blk, images)
+
+    monkeypatch.setattr(routing, "encoder_block", counted)
+    hidden, traces = run_recursion(Tensor(np.concatenate(z0s)), params.blocks, params.router, cfg)
+    # step 1: all three images; step 2: 5 rows of image 0 and 3 of image 2;
+    # step 3: 5 rows of image 0 and 2 of image 2; image 1 stopped after step 1
+    assert calls == [(15, 3), (3, 1), (5, 1), (2, 1), (5, 1)]
+    assert [t.step_attended for t in traces] == [[5, 5, 5], [5], [5, 3, 2]]
+    assert [t.exit_depth.tolist() for t in traces] == \
+        [[3, 3, 3, 3, 3], [3, 1, 1, 1, 1], [3, 3, 1, 2, 1]]
+
+    monkeypatch.setattr(routing, "encoder_block", block)
+    for b, (z, trace) in enumerate(zip(z0s, traces)):
+        alone, (solo,) = run_recursion(Tensor(z), params.blocks, params.router, cfg)
+        assert np.abs(hidden.data[5 * b : 5 * (b + 1)] - alone.data).max() < 1e-12
+        assert solo.step_attended == trace.step_attended
+        assert solo.exit_depth.tolist() == trace.exit_depth.tolist()

@@ -276,6 +276,13 @@ def test_split_merge_heads_inverse():
     assert np.array_equal(merge_heads(heads).data, x.data)
     with pytest.raises(ShapeError):
         split_heads(x, 4)
+    rows = Tensor(rand((6, 6), seed=22))
+    stack = split_heads(rows, 2, segments=3)  # 3 segments of 2 rows
+    assert stack.shape == (6, 2, 3)
+    assert np.array_equal(stack.data[3], rows.data[2:4, 3:6])  # segment 1, head 1
+    assert np.array_equal(merge_heads(stack, segments=3).data, rows.data)
+    with pytest.raises(ShapeError):
+        split_heads(rows, 2, segments=4)
     rows = concat_rows([Tensor(rand((1, 4), seed=24)), Tensor(rand((2, 4), seed=25))])
     assert rows.shape == (3, 4)
 
@@ -284,6 +291,11 @@ def test_split_merge_heads_gradcheck():
     x = Tensor(rand((3, 6), seed=42), requires_grad=True)
     w = Tensor(rand((3, 6), seed=43))
     err = grad_check(lambda: tsum(mul(merge_heads(softmax_rows(split_heads(x, 3))), w)), [x])
+    assert err < 1e-6
+    y = Tensor(rand((4, 6), seed=44), requires_grad=True)
+    v = Tensor(rand((4, 6), seed=45))
+    err = grad_check(
+        lambda: tsum(mul(merge_heads(softmax_rows(split_heads(y, 3, 2)), 2), v)), [y])
     assert err < 1e-6
 
 

@@ -4,7 +4,7 @@ import pytest
 from morvit.checkpoint import load_checkpoint
 from morvit.config import PRESETS
 from morvit.data import DatasetRecord, synth_mixed_difficulty
-from morvit.errors import DataError
+from morvit.errors import ConfigError, DataError
 from morvit.model import init_params
 from morvit.train import (
     evaluate,
@@ -84,6 +84,17 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (tmp_path / "split.ckpt.metrics.tsv").read_text()
 
 
+@pytest.mark.parametrize("change", [{"beta": 0.25}, {"routing_mode": "token_choice"}])
+def test_resume_rejects_a_different_config(tmp_path, change):
+    cfg = micro_cfg(epochs=1)
+    records = micro_data(cfg)
+    first = tmp_path / "first.ckpt"
+    train(cfg, records, str(first))
+    with pytest.raises(ConfigError):
+        train(cfg.replace(epochs=2, **change), records, str(tmp_path / "more.ckpt"),
+              resume_from=str(first))
+
+
 def test_resume_requires_state(tmp_path):
     cfg = micro_cfg(epochs=1)
     records = micro_data(cfg)
@@ -159,6 +170,27 @@ def test_final_epoch_log_matches_eval_on_train_set(tmp_path):
     ev, _ = evaluate_checkpoint(str(out), records)
     assert ev.accuracy == result.rows[-1].train_acc
     assert ev.mean_exit_depth == result.rows[-1].mean_exit_depth
+
+
+def test_loops_run_each_chunk_through_forward_sample(tmp_path, monkeypatch):
+    # a wrapper of train.forward_sample sees every minibatch and eval chunk
+    import morvit.train as train_mod
+
+    sizes = []
+    inner = train_mod.forward_sample
+
+    def counting(images, params, cfg):
+        sizes.append(len(images))
+        return inner(images, params, cfg)
+
+    monkeypatch.setattr(train_mod, "forward_sample", counting)
+    cfg = micro_cfg(epochs=1)
+    records = micro_data(cfg)[:20]
+    evaluate(init_params(cfg), records, cfg)
+    assert sizes == [8, 8, 4]
+    sizes.clear()
+    train(cfg, records, str(tmp_path / "m.ckpt"))
+    assert sizes == [8, 8, 4] * 2  # the minibatches, then the epoch's evaluation
 
 
 # ---------------------------------------------------------------- ablation
