@@ -218,9 +218,18 @@ def _cmd_ablate(args):
 
     cfg = resolve_config(args.config)
     records = _load_records(args.data, cfg)
-    from .data import synth_holdout_set
+    if args.data == "synth":
+        from .data import synth_holdout_set
 
-    holdout = synth_holdout_set(cfg)[0]
+        holdout = synth_holdout_set(cfg)[0]
+    else:
+        # any other data scores top-1 on its own last n // 8 records, which
+        # training never sees
+        if len(records) < 2:
+            raise DataError(f"--data {args.data}: ablate needs at least 2 records, "
+                            f"got {len(records)}")
+        cut = len(records) - max(1, len(records) // 8)
+        records, holdout = records[:cut], records[cut:]
     rows = run_ablation(cfg, records, holdout, epochs=args.epochs)
     table = format_ablation_table(rows)
     try:

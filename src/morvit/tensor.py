@@ -6,6 +6,14 @@ array is passed in. Differentiable ops record a node on the currently active
 ``Tensor.grad``, and then drops them. Accumulation order is fixed by the
 recording order, so two identical runs produce bit-identical gradients.
 
+Gradients follow one ownership rule. A gradient a backward function returns
+is a read-only result: it may be a view of the output's gradient, and the
+input adopts it without a copy. The replay adds in place only into arrays it
+allocated itself during this replay, and it releases each non-leaf gradient
+(``grad = None``) once its node has run, so after ``backward`` only leaves
+hold gradients, each in memory of its own. A backward function computes an
+input's gradient only when that input requires one, and returns None else.
+
 Attention heads, and the images of a batch, share a leading (S*H, M, .) stack
 axis; see ``split_heads``.
 
@@ -171,18 +179,33 @@ class Tape:
         if not self.nodes:
             raise RuntimeError("backward on an empty tape")
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        # Reverse replay: each node is visited exactly once, accumulation
-        # order is the fixed reverse recording order.
+        # Reverse replay in the fixed reverse recording order; each node runs
+        # once, after every consumer of its output has contributed. Backward
+        # functions return fresh arrays or views of their g. Per the module
+        # docstring, an input adopts its first contribution, the second
+        # allocates the sum, and only such an array (``owned``) takes later
+        # ones in place. The sums are a zero-filled accumulator's bit for
+        # bit, up to the sign of an exact zero.
+        owned = set()
         for node in reversed(self.nodes):
-            gout = node.output.grad
+            out = node.output
+            gout = out.grad
             if gout is None:
                 continue
             for inp, gin in zip(node.inputs, node.backfn(gout)):
                 if gin is None or not inp.requires_grad:
                     continue
                 if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad = inp.grad + gin
+                    # a leaf keeps its gradient past the replay, so it
+                    # copies a view: no two leaves share memory
+                    inp.grad = gin if inp._tape is self or gin.base is None else gin.copy()
+                elif id(inp) in owned:
+                    inp.grad += gin
+                else:
+                    inp.grad = inp.grad + gin
+                    owned.add(id(inp))
+            # nothing reads a non-leaf gradient once its node has run
+            out.grad = None
         # Every output points back at this tape, so holding the nodes would
         # keep the whole graph alive until the cyclic GC ran.
         self.nodes = []
@@ -230,7 +253,8 @@ def add(a, b):
     out = Tensor(_broadcast(np.add, a, b, "add"))
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), back)
 
@@ -240,7 +264,8 @@ def sub(a, b):
     out = Tensor(_broadcast(np.subtract, a, b, "sub"))
 
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), back)
 
@@ -251,7 +276,8 @@ def mul(a, b):
     out = Tensor(_broadcast(np.multiply, a, b, "mul"))
 
     def back(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), back)
 
@@ -277,7 +303,8 @@ def matmul(a, b):
     out = Tensor(ad @ bd)
 
     def back(g):
-        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
+        return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
+                a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _record(out, (a, b), back)
 
@@ -433,8 +460,13 @@ def gather_rows(x, idx):
     out = Tensor(x.data[idx])
 
     def back(g):
+        # Each row's first occurrence is a plain write; only the repeats
+        # are added, in index order, as a zero-filled np.add.at would.
+        rows, first = np.unique(idx, return_index=True)
         dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
+        dx[rows] = g[first]
+        if rows.size < idx.size:
+            np.add.at(dx, np.delete(idx, first), np.delete(g, first, axis=0))
         return (dx,)
 
     return _record(out, (x,), back)
@@ -464,7 +496,7 @@ def scatter_rows(base, idx, rows):
     def back(g):
         dbase = g.copy()
         dbase[idx] = 0.0
-        return dbase, g[idx].copy()
+        return dbase, g[idx]
 
     return _record(out, (base, rows), back)
 
@@ -478,7 +510,7 @@ def concat_rows(parts):
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def back(g):
-        return tuple(g[offsets[i] : offsets[i + 1]].copy() for i in range(len(parts)))
+        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
     return _record(out, tuple(parts), back)
 

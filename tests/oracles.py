@@ -11,6 +11,23 @@ import numpy as np
 from morvit.tensor import Tape, backward
 
 
+def reference_backward(tape, loss):
+    """The plain replay ``Tape.backward`` is checked against: every
+    contribution goes into a zero-filled accumulator as a fresh sum, in the
+    same reverse recording order, and every gradient is kept."""
+    loss.grad = np.ones((), dtype=loss.data.dtype)
+    for node in reversed(tape.nodes):
+        if node.output.grad is None:
+            continue
+        for inp, gin in zip(node.inputs, node.backfn(node.output.grad)):
+            if gin is None or not inp.requires_grad:
+                continue
+            if inp.grad is None:
+                inp.grad = np.zeros_like(inp.data)
+            inp.grad = inp.grad + gin
+    tape.nodes = []
+
+
 def fd_gradient(loss_fn, tensors, h=1e-5):
     """Central finite differences of loss_fn() w.r.t. each tensor's data."""
     grads = []

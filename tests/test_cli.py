@@ -8,6 +8,7 @@ from morvit.checkpoint import load_checkpoint, save_checkpoint
 from morvit.cli import build_parser, main
 from morvit.config import PRESETS, save_config
 from morvit.model import init_params
+from test_data import cifar_bytes
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -206,6 +207,47 @@ def test_ablate_writes_table(tmp_path, capsys):
     lines = open(table_path).read().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("variant\t")
+
+
+def cifar_file(path, n, seed=9):
+    g = np.random.Generator(np.random.Philox(seed))
+    recs = [(i % 10, g.integers(0, 256, size=(32, 32, 3)) / 255.0) for i in range(n)]
+    path.write_bytes(cifar_bytes(recs))
+    return recs
+
+
+def cifar_config_file(tmp_path):
+    path = str(tmp_path / "cifar.cfg")
+    save_config(micro_cfg(image_h=32, image_w=32, patch_size=8, num_classes=10), path)
+    return path
+
+
+def test_ablate_scores_a_data_file_on_its_held_out_tail(tmp_path, capsys, monkeypatch):
+    import morvit.train
+
+    seen = {}
+
+    def recording_ablation(cfg, records, holdout, epochs=None):
+        seen.update(records=records, holdout=holdout)
+        return [{"variant": "mor", "routing_mode": "expert_choice", "share_params": True,
+                 "top1": 0.5, "params": 1, "images_per_second": 1.0}]
+
+    monkeypatch.setattr(morvit.train, "run_ablation", recording_ablation)
+    recs = cifar_file(tmp_path / "batch.bin", 17)
+    code, _, err = run_cli(["ablate", "--config", cifar_config_file(tmp_path), "--data",
+                            str(tmp_path / "batch.bin"), "--out", str(tmp_path / "t.tsv")], capsys)
+    assert code == 0, err
+    assert len(seen["records"]) == 15 and len(seen["holdout"]) == 2  # 17 // 8 held out
+    for rec, (label, image) in zip(seen["records"] + seen["holdout"], recs):
+        assert rec.label == label and np.array_equal(rec.image, image)
+
+
+def test_ablate_rejects_a_data_file_too_small_to_hold_out(tmp_path, capsys):
+    cifar_file(tmp_path / "one.bin", 1)
+    code, _, err = run_cli(["ablate", "--config", cifar_config_file(tmp_path), "--data",
+                            str(tmp_path / "one.bin"), "--out", str(tmp_path / "t.tsv")], capsys)
+    assert code == 2
+    assert "at least 2 records" in err
 
 
 def test_bad_config_file_is_exit_2(tmp_path, capsys):

@@ -18,7 +18,7 @@ from morvit.model import (
 )
 from morvit.profiler import count_flops
 from morvit.tensor import Tape, Tensor, add, backward, count_macs, gather_rows
-from oracles import grad_check
+from oracles import grad_check, reference_backward
 
 
 def gen(seed=0):
@@ -235,6 +235,36 @@ def test_total_loss_gradient_is_sum_of_parts():
     g_tot = run("total")
     for gt, gr, go in zip(g_task, g_rout, g_tot):
         assert np.abs(go - (gt + gr)).max() < 1e-12
+
+
+@pytest.mark.parametrize("preset,over", [
+    ("desk-synth", {"routing_mode": "expert_choice"}),
+    ("desk-synth", {"routing_mode": "token_choice"}),
+    ("desk-synth", {"routing_mode": "static", "share_params": False}),
+    ("tiny-desk", {}),
+])
+def test_total_loss_gradients_match_reference_replay_bytewise(preset, over):
+    cfg = PRESETS[preset].replace(routing_lambda=0.5, **over).validate()
+    params = init_params(cfg)
+    images, labels = mixed_batch(cfg, 17)
+    named = params.named()
+
+    def grads(replay):
+        params.zero_grads()
+        with Tape() as tape:
+            logits_list, traces = forward(images, params, cfg)
+            loss = total_loss(logits_list, labels, traces, cfg)
+        replay(tape, loss)
+        return {n: t.grad for n, t in named.items()}
+
+    ours = grads(Tape.backward)
+    ref = grads(reference_backward)
+    assert ours.keys() == ref.keys()
+    for name in named:
+        assert (ours[name] is None) == (ref[name] is None), name
+        if ref[name] is not None:
+            assert ours[name].shape == ref[name].shape, name
+            assert ours[name].tobytes() == ref[name].tobytes(), name
 
 
 def test_backward_leaves_no_reference_cycles():

@@ -23,10 +23,11 @@ from morvit.tensor import (
     sigmoid,
     softmax_rows,
     split_heads,
+    sub,
     transpose,
     tsum,
 )
-from oracles import grad_check
+from oracles import fd_gradient, grad_check, max_rel_err
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -236,6 +237,24 @@ def test_gather_backward_counts_multiplicity():
     assert np.array_equal(x.grad, np.repeat(counts[:, None], 2, axis=1))
 
 
+@pytest.mark.parametrize("idx", [
+    [3, 0, 3, 5, 1, 0, 3, 2],   # repeats interleaved with unique rows
+    [4, 1, 0, 2],               # all unique
+    [2, 2, 2],                  # one row only
+    [],
+])
+def test_gather_backward_matches_zero_filled_add_at(idx):
+    x = Tensor(rand((6, 4), seed=40), requires_grad=True)
+    g = rand((len(idx), 4), seed=41)
+    with Tape() as tape:
+        gather_rows(x, idx)
+    (dx,) = tape.nodes[-1].backfn(g)
+    expected = np.zeros((6, 4))
+    np.add.at(expected, np.asarray(idx, dtype=np.intp), g)
+    assert dx.shape == expected.shape
+    assert dx.tobytes() == expected.tobytes()
+
+
 @given(st.permutations(list(range(6))))
 @settings(max_examples=30, deadline=None)
 def test_gather_gather_inverse_identity(perm):
@@ -369,3 +388,82 @@ def test_cross_entropy_examples_and_grad():
 def test_mean_matches_numpy():
     x = Tensor(rand((4, 5), seed=35))
     assert abs(float(mean(x).data) - x.data.mean()) < 1e-15
+
+
+def fd_check(build_loss, params):
+    with Tape():
+        loss = build_loss()
+    backward(loss)
+    numeric = fd_gradient(lambda: float(build_loss().data), params)
+    return max(max_rel_err(p.grad, n) for p, n in zip(params, numeric))
+
+
+def test_backward_fan_out_of_three():
+    # h and w each feed three consumers: adopt, allocate, then add in place
+    w = Tensor(rand((3, 4), seed=36), requires_grad=True)
+    c = Tensor(rand((3, 4), seed=37))
+
+    def loss():
+        h = mul(w, c)
+        return tsum(add(mul(h, h), sub(h, mul(w, w))))
+
+    assert fd_check(loss, [w]) < 1e-6
+
+
+def test_backward_add_to_itself():
+    x = Tensor(rand((2, 5), seed=38), requires_grad=True)
+    c = Tensor(rand((2, 5), seed=39))
+    assert fd_check(lambda: tsum(mul(add(x, x), c)), [x]) < 1e-6
+
+
+def test_leaves_of_one_add_get_independent_gradients():
+    x = Tensor(rand((3, 2), seed=42), requires_grad=True)
+    y = Tensor(rand((3, 2), seed=43), requires_grad=True)
+    with Tape():
+        loss = tsum(add(x, y))
+    backward(loss)
+    x.grad += 1.0
+    x.grad[0, 0] = 7.0
+    assert np.array_equal(y.grad, np.ones((3, 2)))
+
+
+def test_backward_leaves_an_earlier_gradient_untouched():
+    x = Tensor(rand((3, 2), seed=44), requires_grad=True)
+
+    def replay():
+        with Tape():
+            loss = tsum(add(mul(x, 2.0), add(x, x)))
+        backward(loss)
+
+    replay()
+    earlier = x.grad
+    kept = earlier.copy()
+    replay()  # no zero_grads: the new sum must not be added into `earlier`
+    assert np.array_equal(earlier, kept)
+    assert np.array_equal(x.grad, np.full((3, 2), 8.0))
+
+
+def test_backward_releases_every_non_leaf_gradient():
+    w = Tensor(rand((4, 3), seed=45), requires_grad=True)
+    x = Tensor(rand((5, 4), seed=46))
+    with Tape() as tape:
+        h = gelu(matmul(x, w))
+        loss = tsum(mul(gather_rows(h, [0, 2, 2]), gather_rows(softmax_rows(h), [2, 0, 0])))
+        outputs = [node.output for node in tape.nodes]
+    backward(loss)
+    assert w.grad is not None
+    assert len(outputs) > 4 and all(t.grad is None for t in outputs)
+
+
+@pytest.mark.parametrize("op", [matmul, mul, add, sub])
+@pytest.mark.parametrize("const_side", [0, 1])
+def test_constant_operand_gradient_is_not_computed(op, const_side):
+    shape = (3, 3)
+    operands = [Tensor(rand(shape, seed=47), requires_grad=True),
+                Tensor(rand(shape, seed=48), requires_grad=True)]
+    operands[const_side] = Tensor(operands[const_side].data)
+    with Tape() as tape:
+        out = op(*operands)
+    grads = tape.nodes[-1].backfn(np.ones(out.shape))
+    assert grads[const_side] is None
+    assert grads[1 - const_side].shape == shape

@@ -6,6 +6,7 @@ from morvit.config import PRESETS
 from morvit.data import DatasetRecord, synth_mixed_difficulty
 from morvit.errors import ConfigError, DataError
 from morvit.model import init_params
+from morvit.tensor import Tape
 from morvit.train import (
     evaluate,
     evaluate_checkpoint,
@@ -14,6 +15,7 @@ from morvit.train import (
     run_ablation,
     train,
 )
+from oracles import reference_backward
 
 
 def micro_cfg(**kw):
@@ -67,6 +69,18 @@ def test_training_is_bit_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert metrics_path_for(str(a)) != metrics_path_for(str(b))
     assert (tmp_path / "a.ckpt.metrics.tsv").read_text() == (tmp_path / "b.ckpt.metrics.tsv").read_text()
+
+
+def test_training_matches_reference_replay_bytewise(tmp_path, monkeypatch):
+    cfg = micro_cfg(epochs=2, routing_lambda=0.5)
+    records = micro_data(cfg)
+    ours, ref = tmp_path / "ours.ckpt", tmp_path / "ref.ckpt"
+    train(cfg, records, str(ours))
+    monkeypatch.setattr(Tape, "backward", reference_backward)
+    train(cfg, records, str(ref))
+    assert ours.read_bytes() == ref.read_bytes()
+    assert (tmp_path / "ours.ckpt.metrics.tsv").read_text() == \
+        (tmp_path / "ref.ckpt.metrics.tsv").read_text()
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
