@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numeric
 failure (NaN/Inf detected). The MORVIT_THREADS environment variable caps
-BLAS worker threads (default 1) and is applied before numpy loads, so it
-only takes effect when this process starts here.
+BLAS worker threads (default 1): before numpy loads, it sets each BLAS
+thread variable that is not already set, so an explicit
+OPENBLAS_NUM_THREADS wins, and it only takes effect when this process
+starts here.
 """
 
 from __future__ import annotations
@@ -124,6 +126,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     from .checkpoint import load_checkpoint
+    from .profiler import detect_degenerate
     from .train import evaluate_checkpoint
 
     cfg = load_checkpoint(args.ckpt).config
@@ -133,6 +136,15 @@ def _cmd_eval(args):
     print(f"mean_exit_depth={ev.mean_exit_depth!r}")
     for cls, acc in ev.per_class_accuracy.items():
         print(f"class[{cls}]_accuracy={acc!r}")
+    hist = {r: 0 for r in range(1, cfg.max_recursion + 1)}
+    for trace in ev.traces:
+        for r, count in trace.depth_histogram().items():
+            hist[r] += count
+    print(f"depth_histogram={hist!r}")
+    degenerate, stats = detect_degenerate(ev.traces)
+    if degenerate and cfg.max_recursion > 1:  # with one step every depth is 1
+        print(f"morvit: warning: degenerate routing: {stats['depth_one']} of "
+              f"{stats['tokens']} patch tokens exit at depth 1", file=sys.stderr)
     return 0
 
 

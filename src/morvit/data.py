@@ -7,6 +7,7 @@ is decodable only from the hard ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,9 @@ _EASY_NOISE = 0.02
 _DISTRACTOR_P = 0.25
 
 
-def _hard_patch(cls, p, gen):
+@functools.cache
+def _texture(cls, p):
+    """Read-only noise-free p x p texture of class ``cls``, built once."""
     rows = np.arange(p).reshape(p, 1)
     cols = np.arange(p).reshape(1, p)
     kind = cls % 4
@@ -75,8 +78,13 @@ def _hard_patch(cls, p, gen):
     else:
         mask = ((rows // 2) + (cols // 2)) % 2 == 0
     lo, hi = (_LO, _HI) if cls < 4 else (_HI, _LO)
-    patch = np.where(mask, hi, lo).astype(np.float64)
-    patch = patch + gen.normal(0.0, _TEXTURE_NOISE, size=(p, p))
+    texture = np.where(mask, hi, lo).astype(np.float64)
+    texture.flags.writeable = False
+    return texture
+
+
+def _hard_patch(cls, p, gen):
+    patch = _texture(cls, p) + gen.normal(0.0, _TEXTURE_NOISE, size=(p, p))
     return np.clip(patch, 0.0, 1.0)
 
 

@@ -72,8 +72,10 @@ def count_flops(cfg, trace) -> FlopsReport:
         mlp_total += ff
         router += ro
         per_step.append(att + ff + ro)
-        # excluded elementwise work: norms (~8/elem), softmax (~5/elem),
-        # gelu (~8/elem), residuals/bias adds (~1/elem), gates and scale
+        # excluded elementwise work, which the fused sublayers do in place
+        # and count_macs never sees: two layernorms (~8/elem each), the
+        # scaled softmax (~5/elem), GELU's ndtr (~8/elem), and the bias
+        # adds, residuals and gate together (~4 per row element)
         aux += 8 * 2 * m * d + 5 * m * m * cfg.heads + 8 * m * mlp + 4 * m * d
     embed_flops = 2 * trace.num_patches * cfg.patch_dim * d
     head_flops = 2 * d * cfg.num_classes
@@ -164,6 +166,12 @@ def detect_degenerate(traces, threshold=0.95):
     }
 
 
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so a later
+# change to the environment does not apply. This is the value as it stood
+# when this module loaded numpy, after the CLI's thread cap (None: unset, so
+# OpenBLAS picks its own count).
+_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+
 # Each timed repeat runs the batch forward again until it has taken at least
 # this long, so one repeat holds several forwards and a short stall moves its
 # rate little. Longer repeats stretch a call over more of the host's speed
@@ -176,14 +184,15 @@ def bench_throughput(params, cfg, images, repeats=5):
     """Median images/second over timed repeats, after one warmup pass.
 
     A repeat loops the batch forward for at least ``MIN_REPEAT_S`` seconds.
-    Reports the raw per-repeat rates, their variance, the precision (always
-    f64) and the worker-thread cap so numbers are comparable across runs.
+    Reports the raw per-repeat rates, their variance, the precision of the
+    logits computed (``f64`` for float64) and the BLAS thread setting that
+    applied, so numbers are comparable across runs.
     """
     from .model import forward  # local import keeps profiler light
 
     if repeats < 3:
         raise ValueError("bench_throughput needs repeats >= 3")
-    forward(images, params, cfg)  # warmup
+    logits, _ = forward(images, params, cfg)  # warmup
     samples = []
     for _ in range(repeats):
         passes = 0
@@ -203,6 +212,6 @@ def bench_throughput(params, cfg, images, repeats=5):
         "samples": samples,
         "repeats": repeats,
         "batch": len(images),
-        "precision": "f64",
-        "threads": int(os.environ.get("MORVIT_THREADS", "1")),
+        "precision": f"f{logits[0].dtype.itemsize * 8}",
+        "threads": _BLAS_THREADS,
     }

@@ -14,6 +14,15 @@ allocated itself during this replay, and it releases each non-leaf gradient
 hold gradients, each in memory of its own. A backward function computes an
 input's gradient only when that input requires one, and returns None else.
 
+The encoder block is not composed of these ops. Its two sublayers,
+``backbone.attention_sublayer`` and ``backbone.mlp_sublayer``, are fused ops:
+each computes in raw numpy, records one node through ``_record`` and brings
+a hand-written backward under the same ownership rule. A block call records
+2 nodes instead of the 26 of its composed form, and its bias adds, scale,
+softmax and residuals run in place instead of allocating a Tensor each.
+Every forward matrix product, fused or not, goes through ``_mm``, the one
+place ``count_macs`` counts.
+
 Attention heads, and the images of a batch, share a leading (S*H, M, .) stack
 axis; see ``split_heads``.
 
@@ -25,15 +34,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ShapeError
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _active_tape = None
 _mac_counter = None
@@ -61,7 +65,7 @@ _keep_large_blocks_on_heap()
 
 
 class MacCounter:
-    """Counts multiply-accumulates performed by matmul while active."""
+    """Counts the multiply-accumulates of forward matrix products while active."""
 
     def __init__(self):
         self.macs = 0
@@ -69,7 +73,7 @@ class MacCounter:
 
 @contextlib.contextmanager
 def count_macs():
-    """Instrument matmul: every a@b adds H*m*k*n MACs to the yielded counter."""
+    """Instrument ``_mm``: every a@b adds H*m*k*n MACs to the yielded counter."""
     global _mac_counter
     prev = _mac_counter
     _mac_counter = counter = MacCounter()
@@ -77,6 +81,17 @@ def count_macs():
         yield counter
     finally:
         _mac_counter = prev
+
+
+def _mm(a, b):
+    """Raw-array a @ b of an (M, K) or (H, M, K) ``a``, counted as H*m*k*n MACs.
+
+    Every forward matrix product goes through here, ``matmul``'s and the
+    fused block ops' alike, so instrumented MACs equal the profiler's count.
+    """
+    if _mac_counter is not None:
+        _mac_counter.macs += a.size * b.shape[-1]
+    return a @ b
 
 
 class Tensor:
@@ -298,24 +313,13 @@ def matmul(a, b):
     if (ad.ndim not in (2, 3) or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
             or ad.shape[-1] != bd.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    if _mac_counter is not None:
-        _mac_counter.macs += ad.size * bd.shape[-1]  # H*m*k*n
-    out = Tensor(ad @ bd)
+    out = Tensor(_mm(ad, bd))
 
     def back(g):
         return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
                 a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _record(out, (a, b), back)
-
-
-def transpose(a):
-    """Swap the last two axes of a matrix or an (H, M, N) stack."""
-    a = _as_tensor(a)
-    if a.ndim not in (2, 3):
-        raise ShapeError(f"transpose expects a matrix or a stack, got shape {a.shape}")
-    out = Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)))
-    return _record(out, (a,), lambda g: (np.ascontiguousarray(g.swapaxes(-1, -2)),))
 
 
 def _split(x, heads, segments):
@@ -344,15 +348,6 @@ def split_heads(x, heads, segments=1):
         raise ShapeError(f"cannot split shape {x.shape} into {segments} x {heads} heads")
     out = Tensor(_split(x.data, heads, segments))
     return _record(out, (x,), lambda g: (_merge(g, segments),))
-
-
-def merge_heads(x, segments=1):
-    """(S*H, M, Dh) stack -> (S*M, H*Dh) rows; the inverse of ``split_heads``."""
-    x = _as_tensor(x)
-    if x.ndim != 3 or segments < 1 or x.shape[0] % segments:
-        raise ShapeError(f"merge_heads expects an (S*H, M, Dh) stack, got shape {x.shape}")
-    out = Tensor(_merge(x.data, segments))
-    return _record(out, (x,), lambda g: (_split(g, x.shape[0] // segments, segments),))
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -387,51 +382,6 @@ def softmax_rows(x):
 
     def back(g):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _record(out, (x,), back)
-
-
-def layernorm(x, gain, bias, eps=1e-5):
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if x.ndim != 2:
-        raise ShapeError(f"layernorm expects a matrix, got {x.shape}")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
-            f"layernorm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
-        )
-    if eps <= 0:
-        raise ValueError("layernorm eps must be positive")
-    xhat = x.data - x.data.sum(axis=1, keepdims=True) / d  # centred, scaled in place below
-    var = (xhat * xhat).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    out = Tensor(xhat * gain.data + bias.data)
-
-    def back(g):
-        dgain = (g * xhat).sum(axis=0)
-        dbias = g.sum(axis=0)
-        dxhat = g * gain.data
-        dx = (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        ) * inv
-        return dx, dgain, dbias
-
-    return _record(out, (x, gain, bias), back)
-
-
-def gelu(x):
-    """Exact erf-based GELU."""
-    x = _as_tensor(x)
-    phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out = Tensor(x.data * phi)
-
-    def back(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (phi + x.data * pdf),)
 
     return _record(out, (x,), back)
 

@@ -1,14 +1,37 @@
 """Independent reference implementations used only by tests.
 
-These deliberately avoid the library's tensor ops: plain numpy / Python
-loops, composed differently from the code under test.
+Most of these deliberately avoid the library's tensor ops: plain numpy /
+Python loops, composed differently from the code under test. Two keep a
+replaced implementation as the oracle of its replacement: the plain replay
+``reference_backward`` and ``composed_encoder_block``, the encoder block as a
+composition of generic tape ops, one node per op (``layernorm``, ``gelu``,
+``transpose`` and ``merge_heads`` live here only, as that block used them).
 """
 
 import math
 
 import numpy as np
+from scipy.special import erf
 
-from morvit.tensor import Tape, backward
+from morvit.backbone import LN_EPS
+from morvit.errors import ShapeError
+from morvit.tensor import (
+    Tape,
+    Tensor,
+    _as_tensor,
+    _merge,
+    _record,
+    _split,
+    add,
+    backward,
+    matmul,
+    mul,
+    softmax_rows,
+    split_heads,
+)
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def reference_backward(tape, loss):
@@ -121,3 +144,85 @@ def patchify_reference(image, p):
                         vals.append(image[gr * p + i, gc * p + j, ch])
             rows.append(vals)
     return np.array(rows)
+
+
+# ---------------------------------------------------------------- composed block
+
+def transpose(a):
+    """Swap the last two axes of a matrix or an (H, M, N) stack."""
+    a = _as_tensor(a)
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a matrix or a stack, got shape {a.shape}")
+    out = Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)))
+    return _record(out, (a,), lambda g: (np.ascontiguousarray(g.swapaxes(-1, -2)),))
+
+
+def merge_heads(x, segments=1):
+    """(S*H, M, Dh) stack -> (S*M, H*Dh) rows; the inverse of ``split_heads``."""
+    x = _as_tensor(x)
+    if x.ndim != 3 or segments < 1 or x.shape[0] % segments:
+        raise ShapeError(f"merge_heads expects an (S*H, M, Dh) stack, got shape {x.shape}")
+    out = Tensor(_merge(x.data, segments))
+    return _record(out, (x,), lambda g: (_split(g, x.shape[0] // segments, segments),))
+
+
+def layernorm(x, gain, bias, eps=1e-5):
+    """Per-row normalization to zero mean / unit variance, then affine."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if x.ndim != 2:
+        raise ShapeError(f"layernorm expects a matrix, got {x.shape}")
+    d = x.shape[1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(
+            f"layernorm affine shapes {gain.shape}/{bias.shape} do not match width {d}"
+        )
+    if eps <= 0:
+        raise ValueError("layernorm eps must be positive")
+    xhat = x.data - x.data.sum(axis=1, keepdims=True) / d  # centred, scaled in place below
+    var = (xhat * xhat).sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    out = Tensor(xhat * gain.data + bias.data)
+
+    def back(g):
+        dgain = (g * xhat).sum(axis=0)
+        dbias = g.sum(axis=0)
+        dxhat = g * gain.data
+        dx = (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        ) * inv
+        return dx, dgain, dbias
+
+    return _record(out, (x, gain, bias), back)
+
+
+def gelu(x):
+    """Exact erf-based GELU."""
+    x = _as_tensor(x)
+    phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    out = Tensor(x.data * phi)
+
+    def back(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
+        return (g * (phi + x.data * pdf),)
+
+    return _record(out, (x,), back)
+
+
+def composed_encoder_block(h, blk, images=1):
+    """The encoder block as 26 generic tape ops, the fused sublayers' oracle."""
+    scale = 1.0 / math.sqrt(h.shape[1] // blk.heads)
+
+    a = layernorm(h, blk.ln1_g, blk.ln1_b, LN_EPS)
+    q = split_heads(add(matmul(a, blk.wq), blk.bq), blk.heads, images)  # (S*H, M, dh)
+    k = split_heads(add(matmul(a, blk.wk), blk.bk), blk.heads, images)
+    v = split_heads(add(matmul(a, blk.wv), blk.bv), blk.heads, images)
+    att = softmax_rows(mul(matmul(q, transpose(k)), scale))  # (S*H, M, M)
+    o = add(matmul(merge_heads(matmul(att, v), images), blk.wo), blk.bo)
+    h1 = add(h, o)
+
+    n = layernorm(h1, blk.ln2_g, blk.ln2_b, LN_EPS)
+    mlp = add(matmul(gelu(add(matmul(n, blk.w1), blk.b1)), blk.w2), blk.b2)
+    return add(h1, mlp)

@@ -1,7 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morvit.backbone import (
+    BlockParams,
+    attention_sublayer,
     block_param_count,
     classify,
     embed,
@@ -9,13 +15,19 @@ from morvit.backbone import (
     init_block_params,
     init_embed_params,
     init_head_params,
+    mlp_sublayer,
     patchify,
 )
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
 from morvit.model import forward_sample, init_params
-from morvit.tensor import Tensor, gather_rows, tsum
-from oracles import attention_block_reference, grad_check, patchify_reference
+from morvit.tensor import Tape, Tensor, backward, gather_rows, mul, tsum
+from oracles import (
+    attention_block_reference,
+    composed_encoder_block,
+    grad_check,
+    patchify_reference,
+)
 
 
 def gen(seed=0):
@@ -141,6 +153,85 @@ def test_block_param_count_closed_form():
                       "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
         )
         assert walked == block_param_count(cfg.hidden, cfg.mlp_size)
+
+
+BLOCK_TENSORS = [f.name for f in fields(BlockParams) if f.name != "heads"]
+
+
+def perturbed_block(cfg, seed):
+    """Block params with every tensor, biases and norms too, moved off init."""
+    blk = init_block_params(cfg, gen(seed))
+    g = gen(seed + 1)
+    for name in BLOCK_TENSORS:
+        t = getattr(blk, name)
+        t.data += g.normal(0.0, 0.3, size=t.shape)
+    return blk
+
+
+def block_grads(block_fn, h, blk, weights, images):
+    """Output and the gradients of sum(weights * block(h)) w.r.t. h and blk."""
+    tensors = [h] + [getattr(blk, name) for name in BLOCK_TENSORS]
+    for t in tensors:
+        t.grad = None
+    with Tape():
+        out = block_fn(h, blk, images)
+        loss = tsum(mul(out, Tensor(weights)))
+    backward(loss)
+    return out.data, [t.grad for t in tensors]
+
+
+@given(segments=st.integers(1, 3), rows=st.integers(1, 6), heads=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_fused_block_matches_composed_oracle(segments, rows, heads, seed):
+    cfg = PRESETS["tiny-desk"].replace(heads=heads).validate()
+    blk = perturbed_block(cfg, seed)
+    g = gen(seed + 2)
+    h = Tensor(g.normal(size=(segments * rows, cfg.hidden)), requires_grad=True)
+    weights = g.normal(size=h.shape)
+    out, grads = block_grads(encoder_block, h, blk, weights, segments)
+    ref_out, ref_grads = block_grads(composed_encoder_block, h, blk, weights, segments)
+    assert np.abs(out - ref_out).max() < 1e-13
+    for name, ours, ref in zip(["h"] + BLOCK_TENSORS, grads, ref_grads):
+        assert ours.shape == ref.shape, name
+        # relative to the tensor's largest gradient; bk's true gradient is 0
+        # (softmax ignores a shift shared by a row), so both sides are noise
+        # and the floor of 1 makes its bound absolute
+        bound = 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(ours - ref).max() < bound, name
+
+
+def test_fused_block_gradcheck_every_input():
+    cfg = tiny_cfg()
+    blk = perturbed_block(cfg, 21)
+    g = gen(23)
+    h = Tensor(g.normal(size=(6, cfg.hidden)), requires_grad=True)
+    weights = Tensor(g.normal(size=h.shape))
+    inputs = [h] + [getattr(blk, name) for name in BLOCK_TENSORS if name != "bk"]
+    assert grad_check(lambda: tsum(mul(encoder_block(h, blk, 2), weights)), inputs) < 1e-6
+    # bk's gradient is exactly 0 in exact arithmetic: compare absolutely
+    assert grad_check(lambda: tsum(mul(encoder_block(h, blk, 2), weights)), [blk.bk],
+                      floor=np.inf) < 1e-8
+
+
+def test_encoder_block_records_two_tape_nodes():
+    cfg = tiny_cfg()
+    blk = init_block_params(cfg, gen(24))
+    h = Tensor(gen(25).normal(size=(6, cfg.hidden)), requires_grad=True)
+    with Tape() as tape:
+        encoder_block(h, blk, 3)
+    assert len(tape.nodes) == 2
+
+
+def test_sublayers_reject_bad_shapes():
+    cfg = tiny_cfg()
+    blk = init_block_params(cfg, gen(26))
+    with pytest.raises(ShapeError):
+        attention_sublayer(Tensor(np.zeros((4, cfg.hidden + 1))), blk)
+    with pytest.raises(ShapeError):
+        attention_sublayer(Tensor(np.zeros((5, cfg.hidden))), blk, 2)
+    with pytest.raises(ShapeError):
+        mlp_sublayer(Tensor(np.zeros(cfg.hidden)), blk)
 
 
 # ---------------------------------------------------------------- classify

@@ -1,5 +1,8 @@
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from morvit.model import init_params
 from test_data import cifar_bytes
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def micro_cfg(**kw):
@@ -126,6 +130,56 @@ def test_eval_nan_checkpoint_is_exit_3(tmp_path, capsys):
     code, out, err = run_cli(["eval", "--ckpt", ckpt, "--data", "synth"], capsys)
     assert code == 3
     assert "numeric" in err
+
+
+def test_eval_prints_depth_histogram_over_all_patches(tmp_path, capsys):
+    cfg = micro_cfg()
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, cfg, init_params(cfg).named())
+    code, out, err = run_cli(["eval", "--ckpt", ckpt, "--data", "synth"], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0].startswith("accuracy=") and lines[1].startswith("mean_exit_depth=")
+    assert all(l.startswith("class[") for l in lines[2:2 + cfg.num_classes])
+    assert lines[-1].startswith("depth_histogram=")
+    hist = ast.literal_eval(lines[-1].split("=", 1)[1])
+    patches = cfg.synth_samples * cfg.num_patches
+    assert sorted(hist) == list(range(1, cfg.max_recursion + 1))
+    assert sum(hist.values()) == patches
+    mean_depth = float(lines[1].split("=")[1])
+    assert abs(sum(r * n for r, n in hist.items()) / patches - mean_depth) < 1e-12
+    assert "warning" not in err
+
+
+def test_eval_warns_on_a_degenerate_router(tmp_path, capsys):
+    # zero predictor signal and bias -50 send every token to depth 1
+    cfg = micro_cfg(routing_mode="token_choice")
+    params = init_params(cfg)
+    params.router.choice_w.data[:] = 0.0
+    params.router.choice_b.data[:] = -50.0
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, cfg, params.named())
+    code, out, err = run_cli(["eval", "--ckpt", ckpt, "--data", "synth"], capsys)
+    assert code == 0, err
+    patches = cfg.synth_samples * cfg.num_patches
+    assert f"depth_histogram={{1: {patches}, 2: 0, 3: 0}}" in out
+    assert "warning: degenerate routing" in err
+
+
+def test_profile_bench_reports_the_blas_threads_that_applied(tmp_path):
+    # an explicit OPENBLAS_NUM_THREADS beats the MORVIT_THREADS default of 1
+    cfg = micro_cfg()
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, cfg, init_params(cfg).named())
+    env = {k: v for k, v in os.environ.items() if k != "MORVIT_THREADS"}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-m", "morvit.cli", "profile", "--ckpt", ckpt, "--bench",
+         "--batch", "2", "--repeats", "3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "(threads=2, precision=f64)" in proc.stdout
 
 
 def test_profile_beta_sweep_non_increasing(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,28 @@ def test_synth_streams_are_independent():
     assert len(train) == c.synth_samples
     assert len(hold) == c.synth_holdout
     assert train[0].image.tobytes() != hold[0].image.tobytes()
+
+
+# sha256 over each record's image bytes, int64 label and hard-patch mask, as
+# the generator wrote them before it cached its class textures
+SYNTH_SHA256 = {
+    ("desk-bench", "train"): "11544d9febd557184a3cced345af09a723bc5db56eae79416cada4c39f377c56",
+    ("desk-bench", "holdout"): "be1fe232ad6b3055206596d7db8182ed3ef254869d0cfcaaa0109c04992f5671",
+    ("desk-synth", "train"): "cddc7f2089ab963e9a5e775e09e9ad4423e23f7a91857311aaf8baed39958d1e",
+    ("desk-synth", "holdout"): "17a1afd96e4ecf8b329a350a1085aa09d10db87c7e829b3789c22f1d3e004808",
+}
+
+
+@pytest.mark.parametrize("preset,split", sorted(SYNTH_SHA256))
+def test_synth_sets_are_byte_stable(preset, split):
+    c = PRESETS[preset].validate()
+    records, masks = (synth_train_set if split == "train" else synth_holdout_set)(c)
+    digest = hashlib.sha256()
+    for rec, mask in zip(records, masks):
+        digest.update(rec.image.tobytes())
+        digest.update(np.int64(rec.label).tobytes())
+        digest.update(mask.tobytes())
+    assert digest.hexdigest() == SYNTH_SHA256[preset, split]
 
 
 def test_synth_rejects_empty_request():

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from morvit import routing
 from morvit.backbone import block_param_count, classify, encoder_block, embed, patchify
 from morvit.config import PRESETS
 from morvit.data import synth_mixed_difficulty
@@ -18,7 +19,7 @@ from morvit.model import (
 )
 from morvit.profiler import count_flops
 from morvit.tensor import Tape, Tensor, add, backward, count_macs, gather_rows
-from oracles import grad_check, reference_backward
+from oracles import composed_encoder_block, grad_check, reference_backward
 
 
 def gen(seed=0):
@@ -121,6 +122,35 @@ def test_batch_total_loss_gradcheck(mode):
               else [params.router.choice_w, params.router.choice_b])
     probes = [params.embed.e_pos, params.blocks[0].wq, params.head.w] + router
     assert grad_check(loss, probes) < 1e-4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fused_block_in_the_model_matches_composed_oracle(mode, monkeypatch):
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode, routing_lambda=0.5).validate()
+    params = init_params(cfg)
+    images, labels = mixed_batch(cfg, 18)
+    named = params.named()
+
+    def run():
+        params.zero_grads()
+        with Tape():
+            logits_list, traces = forward(images, params, cfg)
+            loss = total_loss(logits_list, labels, traces, cfg)
+        backward(loss)
+        return ([l.data for l in logits_list], [t.exit_depth for t in traces],
+                {n: t.grad for n, t in named.items()})
+
+    logits, depths, grads = run()
+    monkeypatch.setattr(routing, "encoder_block", composed_encoder_block)
+    ref_logits, ref_depths, ref_grads = run()
+    for ours, ref in zip(logits, ref_logits):
+        assert np.abs(ours - ref).max() < 1e-12
+    for ours, ref in zip(depths, ref_depths):
+        assert np.array_equal(ours, ref)
+    for name, ref in ref_grads.items():
+        assert (grads[name] is None) == (ref is None), name
+        if ref is not None:
+            assert np.abs(grads[name] - ref).max() < 1e-12, name
 
 
 # ---------------------------------------------------------------- losses

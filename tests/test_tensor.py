@@ -13,21 +13,17 @@ from morvit.tensor import (
     count_macs,
     cross_entropy,
     gather_rows,
-    gelu,
-    layernorm,
     matmul,
     mean,
-    merge_heads,
     mul,
     scatter_rows,
     sigmoid,
     softmax_rows,
     split_heads,
     sub,
-    transpose,
     tsum,
 )
-from oracles import fd_gradient, grad_check, max_rel_err
+from oracles import fd_gradient, gelu, grad_check, layernorm, max_rel_err, merge_heads, transpose
 
 
 def rand(shape, seed=0, scale=1.0):
