@@ -30,6 +30,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser():
     parser = _Parser(
         prog="morvit",
@@ -64,9 +77,9 @@ def build_parser():
                         help="sweep beta over {0, 0.25, 0.5, 0.75, 0.9}")
     p_prof.add_argument("--bench", action="store_true",
                         help="also measure images/second")
-    p_prof.add_argument("--batch", type=int, default=16,
+    p_prof.add_argument("--batch", type=_int_at_least(1), default=16,
                         help="benchmark batch size")
-    p_prof.add_argument("--repeats", type=int, default=5,
+    p_prof.add_argument("--repeats", type=_int_at_least(3), default=5,
                         help="benchmark timing repeats (>= 3)")
 
     p_dm = sub.add_parser("depthmap", help="export a per-patch exit-depth map",
@@ -152,11 +165,9 @@ _BETA_SWEEP = (0.0, 0.25, 0.5, 0.75, 0.9)
 
 
 def _cmd_profile(args):
-    import numpy as np
-
     from .checkpoint import load_checkpoint, params_from_checkpoint
     from .data import synth_holdout_set
-    from .model import forward_sample, param_count
+    from .model import forward, param_count
     from .profiler import bench_throughput, count_flops
 
     ck = load_checkpoint(args.ckpt)
@@ -168,11 +179,11 @@ def _cmd_profile(args):
         print("beta\ttotal_flops")
         for beta in _BETA_SWEEP:
             bcfg = cfg.replace(beta=beta)
-            _, trace = forward_sample(sample, params, bcfg)
+            _, (trace,) = forward([sample], params, bcfg)
             report = count_flops(bcfg, trace)
             print(f"{beta}\t{report.total_flops}")
     else:
-        _, trace = forward_sample(sample, params, cfg)
+        _, (trace,) = forward([sample], params, cfg)
         report = count_flops(cfg, trace)
         print(f"total_flops={report.total_flops}")
         for part, val in report.breakdown().items():
@@ -193,7 +204,7 @@ def _cmd_depthmap(args):
     from .checkpoint import load_checkpoint, params_from_checkpoint
     from .data import synth_holdout_set
     from .errors import DataError
-    from .model import forward_sample
+    from .model import forward
     from .profiler import export_depth_map
 
     ck = load_checkpoint(args.ckpt)
@@ -211,13 +222,17 @@ def _cmd_depthmap(args):
     else:
         if not os.path.exists(args.input):
             raise DataError(f"--input {args.input}: no such file")
-        image = np.load(args.input)
-        if image.shape != (cfg.image_h, cfg.image_w, cfg.channels):
+        try:
+            image = np.load(args.input, allow_pickle=False)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"--input {args.input}: not a .npy array: {exc}")
+        shape = getattr(image, "shape", None)  # an .npz archive has none
+        if shape != (cfg.image_h, cfg.image_w, cfg.channels):
             raise DataError(
-                f"--input {args.input}: shape {image.shape} does not match config "
+                f"--input {args.input}: shape {shape} does not match config "
                 f"({cfg.image_h}, {cfg.image_w}, {cfg.channels})"
             )
-    _, trace = forward_sample(image, params, cfg)
+    _, (trace,) = forward([image], params, cfg)
     export_depth_map(trace, cfg.grid_h, cfg.grid_w, args.out, fmt=args.format)
     print(f"wrote {args.format} depth map: {args.out}")
     return 0

@@ -14,6 +14,12 @@ from .errors import ConfigError
 
 ROUTING_MODES = ("expert_choice", "token_choice", "static")
 
+# The least value of every bounded integer field.
+_LOWER_BOUNDS = dict.fromkeys(
+    ("image_h", "image_w", "channels", "patch_size", "hidden", "mlp_size", "heads",
+     "num_classes", "max_recursion", "batch_size", "epochs", "synth_samples",
+     "synth_holdout"), 1) | {"seed": 0, "completed_epochs": 0}
+
 
 @dataclass
 class RunConfig:
@@ -45,16 +51,20 @@ class RunConfig:
     completed_epochs: int = 0
 
     def validate(self):
+        for name, low in _LOWER_BOUNDS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
             raise ConfigError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch size {self.patch_size}"
             )
         if self.hidden % self.heads:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.max_recursion < 1:
-            raise ConfigError("max_recursion must be >= 1")
         if not 0.0 <= self.beta < 1.0:
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
+        if not 0.0 <= self.synth_hard_fraction <= 1.0:
+            raise ConfigError(
+                f"synth_hard_fraction must be in [0, 1], got {self.synth_hard_fraction}")
         if self.routing_lambda < 0.0:
             raise ConfigError("routing_lambda must be nonnegative")
         if self.routing_mode not in ROUTING_MODES:

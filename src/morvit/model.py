@@ -8,7 +8,6 @@ import numpy as np
 
 from . import backbone, routing
 from .backbone import (
-    BlockParams,
     EmbedParams,
     HeadParams,
     classify,
@@ -30,13 +29,13 @@ from .tensor import (
     softmax_rows,
     split_heads,
     sub,
-    tsum,
 )
 
 
-# Tensor fields of BlockParams in declaration order, which fixes the names
-# and the order of block entries in checkpoints.
-_BLOCK_TENSORS = tuple(f.name for f in fields(BlockParams) if f.name != "heads")
+def _tensor_fields(prefix, params):
+    """``prefix.field`` -> Tensor for each Tensor field, in declaration order."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    return {f"{prefix}.{n}": v for n, v in values.items() if isinstance(v, Tensor)}
 
 
 @dataclass
@@ -47,25 +46,18 @@ class ModelParams:
     head: HeadParams
 
     def named(self):
-        """Deterministically ordered name -> Tensor map of every parameter."""
-        out = {
-            "embed.w_e": self.embed.w_e,
-            "embed.b_e": self.embed.b_e,
-            "embed.x_cls": self.embed.x_cls,
-            "embed.e_pos": self.embed.e_pos,
-        }
+        """Deterministically ordered name -> Tensor map of every parameter.
+
+        Names and order follow the dataclasses' field declarations, which
+        fixes the names and the order of entries in checkpoints.
+        """
+        out = _tensor_fields("embed", self.embed)
         for i, blk in enumerate(self.blocks):
-            for fname in _BLOCK_TENSORS:
-                out[f"block{i}.{fname}"] = getattr(blk, fname)
-        if self.router.mode == "expert_choice":
-            for r, step in enumerate(self.router.steps):
-                out[f"router.step{r}.w"] = step.w
-                out[f"router.step{r}.b"] = step.b
-        elif self.router.mode == "token_choice":
-            out["router.choice_w"] = self.router.choice_w
-            out["router.choice_b"] = self.router.choice_b
-        out["head.w"] = self.head.w
-        out["head.b"] = self.head.b
+            out.update(_tensor_fields(f"block{i}", blk))
+        out.update(_tensor_fields("router", self.router))
+        for r, step in enumerate(self.router.steps or ()):
+            out.update(_tensor_fields(f"router.step{r}", step))
+        out.update(_tensor_fields("head", self.head))
         return out
 
     def total_params(self):
@@ -89,7 +81,7 @@ def init_params(cfg, gen=None) -> ModelParams:
     )
 
 
-def forward(images, params: ModelParams, cfg, hooks=None):
+def forward(images, params: ModelParams, cfg):
     """The whole batch through one step-synchronous recursion.
 
     Returns one (1, C) logits tensor and one trace per image, in order.
@@ -98,17 +90,11 @@ def forward(images, params: ModelParams, cfg, hooks=None):
         return [], []
     patches = Tensor(np.concatenate([patchify(img, cfg.patch_size).data for img in images]))
     z0 = embed(patches, params.embed)
-    hidden, traces = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
+    hidden, traces = run_recursion(z0, params.blocks, params.router, cfg)
     logits = classify(gather_rows(hidden, np.arange(len(images)) * cfg.tokens), params.head)
     if len(images) == 1:
         return [logits], traces
     return [gather_rows(logits, [b]) for b in range(len(images))], traces
-
-
-def forward_sample(image, params: ModelParams, cfg, hooks=None):
-    """One image through the network; returns ((1, C) logits, trace)."""
-    (logits,), (trace,) = forward([image], params, cfg, hooks=hooks)
-    return logits, trace
 
 
 def task_loss(logits_list, labels):
@@ -144,19 +130,19 @@ def _routing_terms(batch, mode, kappa):
 def routing_loss(traces, kappa):
     """Mean over images of the routing term: the squared deviation of the
     per-step mean gate (expert-choice) or of the expected normalized depth
-    (token-choice) from the keep target."""
+    (token-choice) from the keep target.
+
+    ``traces`` are the traces of one whole batch, as ``forward`` returns them.
+    """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"target keep fraction must be in (0, 1], got {kappa}")
     if traces[0].mode == "static":
         return Tensor(np.asarray(0.0))
-    images = {}  # batch -> positions of the given traces in it
-    for t in traces:
-        images.setdefault(t.batch, []).append(t.index)
-    total = None
-    for batch, idx in images.items():
-        part = tsum(gather_rows(_routing_terms(batch, traces[0].mode, kappa), idx))
-        total = part if total is None else add(total, part)
-    return mul(total, 1.0 / len(traces))
+    batch = traces[0].batch
+    mine = {id(t) for t in traces if t.batch is batch}
+    if len(traces) != batch.images or len(mine) != len(traces):
+        raise ValueError("routing_loss takes the traces of exactly one whole batch")
+    return mean(_routing_terms(batch, traces[0].mode, kappa))
 
 
 def total_loss(logits_list, labels, traces, cfg):

@@ -21,8 +21,6 @@ from .errors import DataError, ShapeError
 
 @dataclass
 class FlopsReport:
-    per_step_attended: list
-    per_step_scored: list
     per_step_flops: list      # attention + mlp + router share, per step
     attention_flops: int
     mlp_flops: int
@@ -81,8 +79,6 @@ def count_flops(cfg, trace) -> FlopsReport:
     head_flops = 2 * d * cfg.num_classes
     total = attention + mlp_total + router + embed_flops + head_flops
     return FlopsReport(
-        per_step_attended=list(trace.step_attended),
-        per_step_scored=list(trace.step_scored),
         per_step_flops=per_step,
         attention_flops=attention,
         mlp_flops=mlp_total,

@@ -85,18 +85,6 @@ def router_param_count(cfg):
     return 0
 
 
-@dataclass
-class RoutingHooks:
-    """Test-only overrides; never reachable from the CLI.
-
-    force_gate replaces every gate value (including the class token's) with a
-    constant; force_keep replaces the selected set with fixed token indices.
-    """
-
-    force_gate: float = None
-    force_keep: np.ndarray = None
-
-
 @dataclass(eq=False)
 class BatchRouting:
     """Graph tensors of one batch's routing decisions, shared by its traces."""
@@ -118,9 +106,7 @@ class RoutingTrace:
     step_selected: list = field(default_factory=list)     # K kept
     step_attended: list = field(default_factory=list)     # rows fed to the block (kept + class)
     exit_depth: np.ndarray = None                         # (N+1,)
-    exit_hidden: dict = field(default_factory=dict)       # token -> frozen row
     batch: BatchRouting = None                            # routing tensors of the image's batch
-    index: int = 0                                        # the image's position in that batch
 
     def depth_histogram(self):
         """Patch exit-depth counts over 1..max_steps (class token excluded)."""
@@ -177,7 +163,7 @@ def token_choice_assign(z0, router: RouterParams, images=1):
     return depths.astype(np.int64), logits
 
 
-def _expert_choice_take(h, active, step_router, beta, batch, hooks):
+def _expert_choice_take(h, active, step_router, beta, batch):
     """Score every active patch and keep each image's top K.
 
     Returns the (B, N+1) mask of the rows that take part, the gates as
@@ -192,21 +178,14 @@ def _expert_choice_take(h, active, step_router, beta, batch, hooks):
     scores = routing_score(gather_rows(h, rows), step_router)  # (B*A, 1)
     batch.step_scores.append(scores)
     a = rows.size // images
-
-    if hooks is not None and hooks.force_keep is not None:
-        pick = np.flatnonzero(np.isin(rows % tokens, hooks.force_keep))
-    else:
-        _, kept = select_active(scores.data.reshape(images, a), beta)
-        pick = (kept + a * np.arange(images)[:, None]).ravel()
+    _, kept = select_active(scores.data.reshape(images, a), beta)
+    pick = (kept + a * np.arange(images)[:, None]).ravel()
     take = np.zeros(images * tokens, dtype=bool)
     take[::tokens] = True
     take[rows[pick]] = True
     slot = np.zeros(images * tokens, dtype=np.intp)
-    if hooks is not None and hooks.force_gate is not None:
-        source = Tensor(np.full((1, 1), float(hooks.force_gate)))
-    else:
-        slot[rows[pick]] = pick + 1
-        source = concat_rows([Tensor(np.ones((1, 1))), scores])
+    slot[rows[pick]] = pick + 1
+    source = concat_rows([Tensor(np.ones((1, 1))), scores])
     return take.reshape(images, tokens), (source, slot.reshape(images, tokens)), a
 
 
@@ -235,7 +214,7 @@ def _apply_block(h, block, take, counts, gates):
     return h
 
 
-def run_recursion(z0, blocks, router: RouterParams, cfg, hooks=None):
+def run_recursion(z0, blocks, router: RouterParams, cfg):
     """Drive the recursion of a batch for up to max_recursion steps.
 
     ``z0`` holds each image's N+1 rows in turn, as ``embed`` returns them.
@@ -253,8 +232,8 @@ def run_recursion(z0, blocks, router: RouterParams, cfg, hooks=None):
     batch = BatchRouting(images=images)
     traces = [
         RoutingTrace(mode=router.mode, beta=cfg.beta, max_steps=r_max,
-                     num_patches=tokens - 1, batch=batch, index=b)
-        for b in range(images)
+                     num_patches=tokens - 1, batch=batch)
+        for _ in range(images)
     ]
     active = np.ones((images, tokens), dtype=bool)  # column 0 is the class token
     # survivors, and always the class token, carry the full depth
@@ -262,16 +241,19 @@ def run_recursion(z0, blocks, router: RouterParams, cfg, hooks=None):
 
     if router.mode == "token_choice":
         depths, batch.depth_logits = token_choice_assign(z0, router, images)
-        depths = depths.reshape(images, tokens - 1)
+        exit_depth[:, 1:] = depths.reshape(images, tokens - 1)
         # each token's last step; the class token runs while its image has patches
-        last = np.concatenate([depths.max(axis=1, keepdims=True), depths], axis=1)
+        last = exit_depth.copy()
+        last[:, 0] = last[:, 1:].max(axis=1)
 
     h = z0
     for r in range(1, r_max + 1):
         block = blocks[0] if len(blocks) == 1 else blocks[r - 1]
         if router.mode == "expert_choice":
             take, gates, scored = _expert_choice_take(
-                h, active, router.steps[r - 1], cfg.beta, batch, hooks)
+                h, active, router.steps[r - 1], cfg.beta, batch)
+            exit_depth[active & ~take] = r
+            active = take
         elif router.mode == "token_choice":
             # every live patch continues, so an image scores what it keeps
             take, gates, scored = last >= r, None, None
@@ -285,23 +267,7 @@ def run_recursion(z0, blocks, router: RouterParams, cfg, hooks=None):
                 trace.step_scored.append(m - 1 if scored is None else scored)
                 trace.step_selected.append(m - 1)
                 trace.step_attended.append(m)
-
         h = _apply_block(h, block, take, counts, gates)
-
-        if router.mode == "expert_choice":
-            leaving = active & ~take
-            active = take
-        elif router.mode == "token_choice":
-            leaving = last == r
-            leaving[:, 0] = False
-        else:
-            continue
-        flat = np.flatnonzero(leaving)
-        exit_depth.reshape(-1)[flat] = r
-        frozen = h.data[flat]
-        for row, g in zip(frozen, flat.tolist()):
-            b, t = divmod(g, tokens)
-            traces[b].exit_hidden[t] = row
 
     for trace, depth in zip(traces, exit_depth):
         trace.exit_depth = depth

@@ -24,7 +24,10 @@ Every forward matrix product, fused or not, goes through ``_mm``, the one
 place ``count_macs`` counts.
 
 Attention heads, and the images of a batch, share a leading (S*H, M, .) stack
-axis; see ``split_heads``.
+axis; see ``split_heads``. ``matmul`` and ``softmax_rows`` also take such
+stacks. No source caller passes one since the block is fused, but the
+composed block that the fused one is tested against
+(``tests/oracles.py::composed_encoder_block``) runs on them.
 
 Tensors that appear on a tape are never mutated in place; the optimizer
 updates leaf parameters only between tapes.
@@ -128,30 +131,15 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
-        backward(self)
-
     # Small operator surface; everything delegates to the module functions.
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -295,12 +283,6 @@ def mul(a, b):
                 _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), back)
-
-
-def neg(a):
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
 
 
 def matmul(a, b):

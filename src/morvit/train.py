@@ -86,6 +86,8 @@ def forward_sample(images, params: ModelParams, cfg):
 
 def evaluate(params: ModelParams, records, cfg) -> EvalResult:
     """Top-1 accuracy (argmax, first index wins ties) plus routing stats."""
+    if not records:
+        raise DataError("evaluation needs a non-empty dataset")
     check_geometry(records, cfg, where="eval data")
     correct = 0
     depth_sum = 0.0
@@ -157,6 +159,9 @@ def train(cfg: RunConfig, records, out_path, resume_from=None, step_losses=None)
     if resume_from is not None:
         ck = ckpt_io.load_checkpoint(resume_from)
         _check_resume_config(cfg, ck.config, resume_from)
+        if cfg.epochs <= ck.config.completed_epochs:
+            raise ConfigError(f"{resume_from}: nothing left to train: {cfg.epochs} epochs "
+                              f"requested, {ck.config.completed_epochs} completed")
         params = ckpt_io.params_from_checkpoint(ck)
         if ck.optimizer is None or ck.rng_state is None:
             raise DataError(f"{resume_from}: checkpoint lacks optimizer/rng state, cannot resume")
@@ -175,7 +180,11 @@ def train(cfg: RunConfig, records, out_path, resume_from=None, step_losses=None)
     result = TrainResult(checkpoint_path=out_path, metrics_path=metrics_path)
     named = params.named()
 
-    with open(metrics_path, mode, encoding="utf-8") as metrics:
+    try:
+        metrics = open(metrics_path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write metrics {metrics_path}: {exc}")
+    with metrics:
         for epoch in range(start_epoch, cfg.epochs):
             order = gen.permutation(len(records))
             loss_sum = 0.0

@@ -17,7 +17,7 @@ from morvit.checkpoint import load_checkpoint, params_from_checkpoint, save_chec
 from morvit.config import PRESETS
 from morvit.data import load_cifar10_binary, synth_holdout_set, synth_mixed_difficulty
 from morvit.model import (
-    forward_sample,
+    forward,
     init_params,
     param_count,
     total_loss,
@@ -29,9 +29,10 @@ from morvit.profiler import (
     detect_degenerate,
     export_depth_map,
 )
-from morvit.routing import RoutingHooks, run_recursion, select_active
+from morvit.routing import run_recursion, select_active
 from morvit.tensor import Tape, add, backward, count_macs, gather_rows
 from morvit.train import evaluate, run_ablation, train
+from test_routing import record_steps, unit_gates
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 BETAS = (0.0, 0.25, 0.5, 0.75, 0.9)
@@ -53,12 +54,12 @@ def test_a1_gradient_fidelity():
         rec = synth_mixed_difficulty(1, 1000 + seed, cfg)[0][0]
 
         def loss_value():
-            logits, trace = forward_sample(rec.image, params, cfg)
+            (logits,), (trace,) = forward([rec.image], params, cfg)
             return float(total_loss([logits], [rec.label], [trace], cfg).data)
 
         params.zero_grads()
         with Tape():
-            logits, trace = forward_sample(rec.image, params, cfg)
+            (logits,), (trace,) = forward([rec.image], params, cfg)
             loss = total_loss([logits], [rec.label], [trace], cfg)
         backward(loss)
 
@@ -85,12 +86,13 @@ def test_a1_gradient_fidelity():
 
 # ---------------------------------------------------------------- A2
 
-def test_a2_weight_tied_equivalence():
+def test_a2_weight_tied_equivalence(monkeypatch):
     cfg = PRESETS["tiny-desk"].replace(max_recursion=3, beta=0.0).validate()
     assert cfg.share_params
     params = init_params(cfg)
     rec = synth_mixed_difficulty(1, 7, cfg)[0][0]
-    logits, _ = forward_sample(rec.image, params, cfg, hooks=RoutingHooks(force_gate=1.0))
+    unit_gates(monkeypatch)  # with beta = 0 every token takes every step as h + block(h)
+    (logits,), _ = forward([rec.image], params, cfg)
 
     h = embed(patchify(rec.image, cfg.patch_size), params.embed)
     for _ in range(3):
@@ -117,21 +119,25 @@ def test_a3_routing_cardinality():
 
 # ---------------------------------------------------------------- A4
 
-def test_a4_frozen_exits():
+def test_a4_frozen_exits(monkeypatch):
     cfg = PRESETS["tiny-desk"].replace(max_recursion=3).validate()
+    after_step = record_steps(monkeypatch)
     frozen_ok = monotone_ok = hist_ok = True
     for seed in range(50):
         params = init_params(cfg.replace(seed=seed))
         rec = synth_mixed_difficulty(1, 2000 + seed, cfg)[0][0]
         z0 = embed(patchify(rec.image, cfg.patch_size), params.embed)
+        after_step.clear()
         hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
-        for tok, row in trace.exit_hidden.items():
-            frozen_ok &= hidden.data[tok].tobytes() == row.tobytes()
+        frozen_ok &= len(after_step) == cfg.max_recursion
+        for tok, depth in enumerate(trace.exit_depth):
+            frozen_ok &= hidden.data[tok].tobytes() == after_step[depth - 1][tok].tobytes()
         scored = trace.step_scored
         monotone_ok &= all(scored[i + 1] <= scored[i] for i in range(len(scored) - 1))
         hist_ok &= sum(trace.depth_histogram().values()) == cfg.num_patches
     report("A4", frozen_ok and monotone_ok and hist_ok,
-           "50 forwards: exited rows bit-identical, actives non-increasing, histograms sum to N")
+           "50 forwards: every row bit-identical to its row after its exit step, "
+           "actives non-increasing, histograms sum to N")
 
 
 # ---------------------------------------------------------------- A5
@@ -141,7 +147,7 @@ def test_a5_flops_accounting():
     params = init_params(static_cfg)
     rec = synth_mixed_difficulty(1, 11, static_cfg)[0][0]
     with count_macs() as counter:
-        _, trace = forward_sample(rec.image, params, static_cfg)
+        _, (trace,) = forward([rec.image], params, static_cfg)
     formula = count_flops(static_cfg, trace).total_flops
     instrumented = 2 * counter.macs
     exact = instrumented == formula
@@ -152,7 +158,7 @@ def test_a5_flops_accounting():
     for beta in BETAS:
         cfg = cfg0.replace(beta=beta)
         bparams = init_params(cfg)
-        _, t = forward_sample(rec2.image, bparams, cfg)
+        _, (t,) = forward([rec2.image], bparams, cfg)
         totals.append(count_flops(cfg, t).total_flops)
     monotone = all(totals[i + 1] <= totals[i] for i in range(len(totals) - 1))
     report("A5", exact and monotone,
@@ -232,7 +238,7 @@ def test_a7_adaptivity_and_degeneracy(desk_run):
     cparams.router.choice_b.data[:] = -50.0
     collapsed_traces = []
     for rec in desk_run["holdout"][:32]:
-        _, t = forward_sample(rec.image, cparams, ccfg)
+        _, (t,) = forward([rec.image], cparams, ccfg)
         collapsed_traces.append(t)
     collapsed_fired, stats = detect_degenerate(collapsed_traces)
 

@@ -20,7 +20,7 @@ from morvit.backbone import (
 )
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
-from morvit.model import forward_sample, init_params
+from morvit.model import forward, init_params
 from morvit.tensor import Tape, Tensor, backward, gather_rows, mul, tsum
 from oracles import (
     attention_block_reference,
@@ -280,7 +280,7 @@ def test_permutation_equivariance_of_logits():
     params = init_params(cfg)
     g = gen(20)
     img = g.random((cfg.image_h, cfg.image_w, cfg.channels))
-    logits, _ = forward_sample(img, params, cfg)
+    (logits,), _ = forward([img], params, cfg)
 
     perm = g.permutation(cfg.num_patches)
     patches = patchify(img, cfg.patch_size)

@@ -324,3 +324,86 @@ def test_preset_name_as_config(tmp_path, capsys):
     )
     assert code == 0, err
     assert load_checkpoint(ckpt).config.epochs == 1
+
+
+# ---------------------------------------------------------------- bounds
+
+def assert_clean_error(code, err, expected=2):
+    assert code == expected, err
+    assert "morvit: error:" in err or "morvit profile: error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["hidden", "patch_size", "batch_size"])
+def test_train_config_with_a_zero_size_is_exit_2(tmp_path, capsys, field):
+    path = str(tmp_path / "zero.cfg")
+    save_config(micro_cfg().replace(**{field: 0}), path)
+    code, _, err = run_cli(
+        ["train", "--config", path, "--data", "synth", "--out", str(tmp_path / "m.ckpt")], capsys
+    )
+    assert_clean_error(code, err)
+    assert f"{field} must be >= 1" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--seed", "-1")])
+def test_train_flag_out_of_bounds_is_exit_2(tmp_path, micro_config_file, capsys, flag, value):
+    code, _, err = run_cli(["train", "--config", micro_config_file, "--data", "synth",
+                            "--out", str(tmp_path / "m.ckpt"), flag, value], capsys)
+    assert_clean_error(code, err)
+    assert f"{flag[2:]} must be >= " in err
+
+
+def test_resume_with_nothing_left_to_train_is_exit_2(tmp_path, micro_config_file, capsys):
+    ckpt = str(tmp_path / "m.ckpt")
+    argv = ["train", "--config", micro_config_file, "--data", "synth", "--out", ckpt]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    code, _, err = run_cli(argv + ["--resume", ckpt], capsys)
+    assert_clean_error(code, err)
+    assert "nothing left to train" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--repeats", "2")])
+def test_profile_bench_bounds_are_usage_errors(tmp_path, capsys, flag, value):
+    cfg = micro_cfg()
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, cfg, init_params(cfg).named())
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--ckpt", ckpt, "--bench", flag, value])
+    assert_clean_error(exc.value.code, capsys.readouterr().err, expected=1)
+
+
+def test_depthmap_input_that_is_not_npy_is_exit_2(tmp_path, capsys):
+    cfg = micro_cfg()
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, cfg, init_params(cfg).named())
+    text = tmp_path / "img.txt"
+    text.write_text("not an array\n")
+    objects = str(tmp_path / "objects.npy")
+    np.save(objects, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+    for path in (str(text), objects):
+        code, _, err = run_cli(
+            ["depthmap", "--ckpt", ckpt, "--input", path, "--out", str(tmp_path / "m.csv")], capsys
+        )
+        assert_clean_error(code, err)
+        assert "not a .npy array" in err
+
+
+def test_train_out_in_a_missing_directory_is_exit_2(tmp_path, micro_config_file, capsys):
+    out = str(tmp_path / "missing" / "m.ckpt")
+    code, _, err = run_cli(
+        ["train", "--config", micro_config_file, "--data", "synth", "--out", out], capsys
+    )
+    assert_clean_error(code, err)
+    assert "cannot write metrics" in err
+
+
+def test_eval_on_an_empty_data_file_is_exit_2(tmp_path, capsys):
+    cfg = micro_cfg(image_h=32, image_w=32, patch_size=8)
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, cfg, init_params(cfg).named())
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    code, _, err = run_cli(["eval", "--ckpt", ckpt, "--data", str(empty)], capsys)
+    assert_clean_error(code, err)
+    assert "non-empty" in err

@@ -10,7 +10,6 @@ from morvit.config import PRESETS
 from morvit.data import synth_mixed_difficulty
 from morvit.model import (
     forward,
-    forward_sample,
     init_params,
     param_count,
     routing_loss,
@@ -46,7 +45,7 @@ def test_forward_static_matches_weight_tied_oracle():
     cfg = tiny_cfg(routing_mode="static", max_recursion=3)
     params = init_params(cfg)
     img = gen(4).random((cfg.image_h, cfg.image_w, cfg.channels))
-    logits, _ = forward_sample(img, params, cfg)
+    (logits,), _ = forward([img], params, cfg)
 
     h = embed(patchify(img, cfg.patch_size), params.embed)
     for _ in range(3):
@@ -68,8 +67,8 @@ def test_forward_deterministic_across_runs():
     cfg = tiny_cfg()
     params = init_params(cfg)
     img = gen(6).random((cfg.image_h, cfg.image_w, cfg.channels))
-    a, _ = forward_sample(img, params, cfg)
-    b, _ = forward_sample(img, params, cfg)
+    (a,), _ = forward([img], params, cfg)
+    (b,), _ = forward([img], params, cfg)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -90,7 +89,7 @@ def test_forward_batch_matches_each_image_alone(mode):
     images, _ = mixed_batch(cfg, 14)
     logits_list, traces = forward(images, params, cfg)
     for img, logits, trace in zip(images, logits_list, traces):
-        alone, solo = forward_sample(img, params, cfg)
+        (alone,), (solo,) = forward([img], params, cfg)
         assert np.abs(logits.data - alone.data).max() < 1e-12
         assert np.array_equal(trace.exit_depth, solo.exit_depth)
         assert trace.step_scored == solo.step_scored
@@ -216,6 +215,22 @@ def test_routing_loss_rejects_bad_kappa():
         routing_loss([], 0.0)
 
 
+@pytest.mark.parametrize("mode", ("expert_choice", "token_choice"))
+def test_routing_loss_rejects_traces_that_are_not_one_whole_batch(mode):
+    cfg = tiny_cfg(routing_mode=mode)
+    params = init_params(cfg)
+    images, _ = mixed_batch(cfg, 17)
+    _, traces = forward(images, params, cfg)
+    _, other = forward(images, params, cfg)
+    whole = float(routing_loss(traces, 0.5).data)
+    assert float(routing_loss(traces[::-1], 0.5).data) == whole
+    # a part, a mix of two batches, a repeat, and every trace plus a repeat
+    for bad in (traces[:2], traces[:2] + other[2:], traces[:2] + traces[:1],
+                traces + traces[:1]):
+        with pytest.raises(ValueError, match="one whole batch"):
+            routing_loss(bad, 0.5)
+
+
 def test_total_loss_lambda_zero_equals_task():
     cfg = tiny_cfg(routing_lambda=0.0)
     params = init_params(cfg)
@@ -249,7 +264,7 @@ def test_total_loss_gradient_is_sum_of_parts():
     def run(loss_kind):
         params.zero_grads()
         with Tape():
-            logits, trace = forward_sample(img, params, cfg)
+            (logits,), (trace,) = forward([img], params, cfg)
             if loss_kind == "task":
                 loss = task_loss([logits], [label])
             elif loss_kind == "routing":

@@ -7,7 +7,7 @@ import pytest
 from morvit.config import PRESETS
 from morvit.data import synth_mixed_difficulty
 from morvit.errors import DataError, ShapeError
-from morvit.model import forward_sample, init_params
+from morvit.model import forward, init_params
 from morvit.profiler import (
     bench_throughput,
     count_flops,
@@ -49,7 +49,7 @@ def test_static_trace_matches_instrumented_forward_exactly():
     params = init_params(cfg)
     rec = synth_mixed_difficulty(1, 1, cfg)[0][0]
     with count_macs() as c:
-        _, trace = forward_sample(rec.image, params, cfg)
+        _, (trace,) = forward([rec.image], params, cfg)
     report = count_flops(cfg, trace)
     assert 2 * c.macs == report.total_flops
     assert report.total_flops == sum(report.breakdown().values())
@@ -61,7 +61,7 @@ def test_expert_trace_matches_instrumented_forward_exactly():
     params = init_params(cfg)
     rec = synth_mixed_difficulty(1, 2, cfg)[0][0]
     with count_macs() as c:
-        _, trace = forward_sample(rec.image, params, cfg)
+        _, (trace,) = forward([rec.image], params, cfg)
     assert 2 * c.macs == count_flops(cfg, trace).total_flops
 
 
@@ -70,7 +70,7 @@ def test_token_choice_trace_matches_instrumented_forward_exactly():
     params = init_params(cfg)
     rec = synth_mixed_difficulty(1, 3, cfg)[0][0]
     with count_macs() as c:
-        _, trace = forward_sample(rec.image, params, cfg)
+        _, (trace,) = forward([rec.image], params, cfg)
     assert 2 * c.macs == count_flops(cfg, trace).total_flops
 
 
@@ -88,7 +88,7 @@ def test_flops_monotone_in_beta():
     for beta in (0.0, 0.25, 0.5, 0.75, 0.9):
         cfg = cfg0.replace(beta=beta)
         params = init_params(cfg)
-        _, trace = forward_sample(rec.image, params, cfg)
+        _, (trace,) = forward([rec.image], params, cfg)
         total = count_flops(cfg, trace).total_flops
         if prev is not None:
             assert total <= prev
@@ -108,7 +108,7 @@ def test_depth_map_r1_all_ones(tmp_path):
     cfg = tiny_cfg(max_recursion=1)
     params = init_params(cfg)
     rec = synth_mixed_difficulty(1, 5, cfg)[0][0]
-    _, trace = forward_sample(rec.image, params, cfg)
+    _, (trace,) = forward([rec.image], params, cfg)
     out = tmp_path / "map.json"
     dm = export_depth_map(trace, cfg.grid_h, cfg.grid_w, str(out), fmt="json")
     assert np.array_equal(dm.grid, np.ones((2, 2)))
@@ -129,7 +129,7 @@ def test_depth_map_json_histogram_sums_to_n(tmp_path):
     params = init_params(cfg)
     for seed in range(3):
         rec = synth_mixed_difficulty(1, 10 + seed, cfg)[0][0]
-        _, trace = forward_sample(rec.image, params, cfg)
+        _, (trace,) = forward([rec.image], params, cfg)
         out = tmp_path / f"m{seed}.json"
         export_depth_map(trace, cfg.grid_h, cfg.grid_w, str(out), fmt="json")
         doc = json.loads(out.read_text())
@@ -162,7 +162,7 @@ def collapsed_router_traces(n_traces=4):
     traces = []
     for seed in range(n_traces):
         rec = synth_mixed_difficulty(1, 20 + seed, cfg)[0][0]
-        _, trace = forward_sample(rec.image, params, cfg)
+        _, (trace,) = forward([rec.image], params, cfg)
         traces.append(trace)
     return traces
 
@@ -178,7 +178,7 @@ def test_static_full_depth_not_degenerate():
     cfg = tiny_cfg(routing_mode="static", max_recursion=4)
     params = init_params(cfg)
     rec = synth_mixed_difficulty(1, 30, cfg)[0][0]
-    _, trace = forward_sample(rec.image, params, cfg)
+    _, (trace,) = forward([rec.image], params, cfg)
     degenerate, stats = detect_degenerate([trace])
     assert not degenerate
     assert stats["fraction_depth_one"] == 0.0

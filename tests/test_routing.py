@@ -7,9 +7,8 @@ import morvit.routing as routing
 from morvit.backbone import encoder_block, patchify, embed
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
-from morvit.model import init_params, forward_sample, total_loss
+from morvit.model import forward, init_params, total_loss
 from morvit.routing import (
-    RoutingHooks,
     StepRouter,
     routing_score,
     run_recursion,
@@ -31,6 +30,40 @@ def random_z0(cfg, seed=0):
     params = init_params(cfg.replace(seed=seed))
     img = gen(seed + 50).random((cfg.image_h, cfg.image_w, cfg.channels))
     return embed(patchify(img, cfg.patch_size), params.embed), params
+
+
+def unit_gates(monkeypatch):
+    """Make every router score 1, so every kept token's gate is 1."""
+    monkeypatch.setattr(routing, "routing_score",
+                        lambda rows, step: Tensor(np.ones((rows.shape[0], 1))))
+
+
+def record_kept(monkeypatch):
+    """Record the tokens each expert-choice step keeps, for one image."""
+    kept_tokens = []
+    select = routing.select_active
+
+    def spy(scores, beta):
+        threshold, kept = select(scores, beta)
+        kept_tokens.append((kept[0] + 1).tolist())  # patch j is token j + 1
+        return threshold, kept
+
+    monkeypatch.setattr(routing, "select_active", spy)
+    return kept_tokens
+
+
+def record_steps(monkeypatch):
+    """Record the hidden rows after every recursion step."""
+    after_step = []
+    apply_block = routing._apply_block
+
+    def spy(h, *args):
+        out = apply_block(h, *args)
+        after_step.append(out.data)
+        return out
+
+    monkeypatch.setattr(routing, "_apply_block", spy)
+    return after_step
 
 
 # ---------------------------------------------------------------- routing_score
@@ -120,26 +153,27 @@ def test_select_matrix_matches_row_by_row(beta):
 
 # ---------------------------------------------------------------- one step
 
-def test_step_gate_zero_limit():
+def test_step_gate_zero_limit(monkeypatch):
     cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=5)
     params.router.steps[0].b.data[:] = -50.0
+    kept = record_kept(monkeypatch)
     hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
-    survivors = [t for t in range(1, cfg.tokens) if t not in trace.exit_hidden]
+    (survivors,) = kept
     assert len(survivors) == trace.step_selected[0] == 2
     assert np.abs(hidden.data[survivors] - z0.data[survivors]).max() < 1e-15
 
 
-def test_step_gates_hooked_one_matches_block_composition():
+def test_step_unit_gates_match_block_composition(monkeypatch):
     cfg = tiny_cfg(beta=0.0, max_recursion=1)
     z0, params = random_z0(cfg, seed=6)
-    hooks = RoutingHooks(force_gate=1.0)
-    hidden, _ = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
+    unit_gates(monkeypatch)
+    hidden, _ = run_recursion(z0, params.blocks, params.router, cfg)
     oracle = add(z0, encoder_block(z0, params.blocks[0]))
     assert np.abs(hidden.data - oracle.data).max() == 0.0
 
 
-def test_step_hand_set_scores():
+def test_step_hand_set_scores(monkeypatch):
     cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=7)
     # router reads only coordinate 0; plant known values there
@@ -148,9 +182,10 @@ def test_step_hand_set_scores():
     params.router.steps[0].w.data[:] = 0.0
     params.router.steps[0].w.data[0, 0] = 1.0
     params.router.steps[0].b.data[:] = 0.0
+    kept = record_kept(monkeypatch)
     hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
     # scores rank tokens 1 and 3 highest; beta=0.5 keeps K=2
-    assert sorted(trace.exit_hidden) == [2, 4]
+    assert kept == [[1, 3]]
     assert trace.step_selected == [2] and trace.step_attended == [3]
     exited = [2, 4]
     assert hidden.data[exited].tobytes() == z0.data[exited].tobytes()
@@ -167,11 +202,11 @@ def test_run_r1_every_token_depth_one():
     assert trace.exit_depth[0] == 1
 
 
-def test_run_weight_tied_oracle():
+def test_run_weight_tied_oracle(monkeypatch):
     cfg = tiny_cfg(max_recursion=3, beta=0.0)
     z0, params = random_z0(cfg, seed=9)
-    hooks = RoutingHooks(force_gate=1.0)
-    hidden, _ = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
+    unit_gates(monkeypatch)
+    hidden, _ = run_recursion(z0, params.blocks, params.router, cfg)
     h = z0
     for _ in range(3):
         h = add(h, encoder_block(h, params.blocks[0]))
@@ -188,22 +223,29 @@ def test_run_counting_invariants():
         assert sum(trace.depth_histogram().values()) == cfg.num_patches
 
 
-def test_run_frozen_exits_bit_identical():
+def test_run_frozen_exits_bit_identical(monkeypatch):
     cfg = tiny_cfg(max_recursion=3, beta=0.5)
+    after_step = record_steps(monkeypatch)
     for seed in range(10):
         z0, params = random_z0(cfg, seed=40 + seed)
+        after_step.clear()
         hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
-        for tok, frozen in trace.exit_hidden.items():
-            assert hidden.data[tok].tobytes() == frozen.tobytes()
+        assert len(after_step) == cfg.max_recursion
+        assert (trace.exit_depth < cfg.max_recursion).any()  # beta = 0.5 drops half
+        for tok, depth in enumerate(trace.exit_depth):
+            assert hidden.data[tok].tobytes() == after_step[depth - 1][tok].tobytes()
 
 
-def test_run_force_keep_hook():
+def test_run_fixed_kept_set(monkeypatch):
     cfg = tiny_cfg(max_recursion=1)
     z0, params = random_z0(cfg, seed=60)
-    hooks = RoutingHooks(force_keep=np.array([2, 4]))
-    _, (trace,) = run_recursion(z0, params.blocks, params.router, cfg, hooks=hooks)
-    assert sorted(trace.exit_hidden) == [1, 3]
-    assert trace.step_attended == [3]
+    # keep tokens 2 and 4, whatever the scores
+    monkeypatch.setattr(routing, "select_active",
+                        lambda scores, beta: (None, np.array([[1, 3]])))
+    hidden, (trace,) = run_recursion(z0, params.blocks, params.router, cfg)
+    assert trace.step_selected == [2] and trace.step_attended == [3]
+    assert hidden.data[[1, 3]].tobytes() == z0.data[[1, 3]].tobytes()
+    assert np.abs(hidden.data[[0, 2, 4]] - z0.data[[0, 2, 4]]).max(axis=1).min() > 0.0
 
 
 def test_gradient_reaches_step_routers():
@@ -214,7 +256,7 @@ def test_gradient_reaches_step_routers():
     params = init_params(cfg)
     img = gen(61).random((cfg.image_h, cfg.image_w, cfg.channels))
     with Tape():
-        logits, trace = forward_sample(img, params, cfg)
+        (logits,), (trace,) = forward([img], params, cfg)
         loss = total_loss([logits], [1], [trace], cfg)
     backward(loss)
     for r in range(cfg.max_recursion - 1):
@@ -227,7 +269,7 @@ def test_gradient_reaches_step_routers():
     cfg2 = tiny_cfg(max_recursion=3, routing_lambda=0.01)
     params2 = init_params(cfg2)
     with Tape():
-        logits, trace = forward_sample(img, params2, cfg2)
+        (logits,), (trace,) = forward([img], params2, cfg2)
         loss = total_loss([logits], [1], [trace], cfg2)
     backward(loss)
     for r, step in enumerate(params2.router.steps):
