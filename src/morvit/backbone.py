@@ -33,8 +33,6 @@ from .tensor import (
     _record,
     _split,
     add,
-    concat_rows,
-    gather_rows,
     matmul,
 )
 
@@ -157,28 +155,32 @@ def embed(patches, ep: EmbedParams):
 
     ``patches`` holds the N patch rows of B images one after another; the
     result holds B blocks of N+1 rows, each the class token then the image's
-    patches.
+    patches. One tape node; the patches are input data and get no gradient.
     """
     if patches.shape[1] != ep.w_e.shape[0]:
         raise ShapeError(
             f"patch width {patches.shape[1]} does not match projection rows {ep.w_e.shape[0]}"
         )
-    tokens = ep.e_pos.shape[0]
+    tokens, d = ep.e_pos.shape
     images, extra = divmod(patches.shape[0], tokens - 1)
     if extra or not images:
         raise ShapeError(
             f"{patches.shape[0]} patches are not a whole number of images of {tokens - 1} "
             f"patches ({tokens} positional rows)"
         )
-    z = concat_rows([ep.x_cls, add(matmul(patches, ep.w_e), ep.b_e)])
-    if images == 1:
-        return add(z, ep.e_pos)
-    # image b's row t is row 0 of z (the class token) for t = 0, else row
-    # b*N + t, and its positional row is t
-    pos = np.arange(images * tokens) % tokens
-    src = np.arange(images * tokens) - np.arange(images * tokens) // tokens
-    src[pos == 0] = 0
-    return add(gather_rows(z, src), gather_rows(ep.e_pos, pos))
+    y = _affine(patches.data, ep.w_e, ep.b_e)
+    z = np.empty((images, tokens, d), dtype=y.dtype)
+    z[:, 0] = ep.x_cls.data
+    z[:, 1:] = y.reshape(images, tokens - 1, d)
+    z += ep.e_pos.data
+
+    def back(g):
+        g = g.reshape(images, tokens, d)
+        return (*_affine_grads((patches.data, g[:, 1:].reshape(-1, d), ep.w_e, ep.b_e)),
+                g[:, 0].sum(axis=0, keepdims=True) if ep.x_cls.requires_grad else None,
+                g.sum(axis=0) if ep.e_pos.requires_grad else None)
+
+    return _record(Tensor(z.reshape(-1, d)), (ep.w_e, ep.b_e, ep.x_cls, ep.e_pos), back)
 
 
 def _layernorm(x, gain, bias):

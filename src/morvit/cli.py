@@ -48,9 +48,9 @@ def build_parser():
         prog="morvit",
         description="Train, evaluate and profile a dynamic-recursion vision transformer.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p_train = sub.add_parser(
+    p_train = commands.add_parser(
         "train", help="train a model and write a checkpoint", parents=[], prog="morvit train"
     )
     p_train.add_argument("--config", required=True,
@@ -65,13 +65,13 @@ def build_parser():
     p_train.add_argument("--resume", default=None,
                          help="checkpoint to resume from")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint", prog="morvit eval")
+    p_eval = commands.add_parser("eval", help="evaluate a checkpoint", prog="morvit eval")
     p_eval.add_argument("--ckpt", required=True, help="checkpoint path")
     p_eval.add_argument("--data", required=True,
                         help="CIFAR-10 binary file, or 'synth' / 'synth-holdout'")
 
-    p_prof = sub.add_parser("profile", help="report parameters and FLOPs",
-                            prog="morvit profile")
+    p_prof = commands.add_parser("profile", help="report parameters and FLOPs",
+                                 prog="morvit profile")
     p_prof.add_argument("--ckpt", required=True, help="checkpoint path")
     p_prof.add_argument("--beta-sweep", action="store_true",
                         help="sweep beta over {0, 0.25, 0.5, 0.75, 0.9}")
@@ -82,8 +82,8 @@ def build_parser():
     p_prof.add_argument("--repeats", type=_int_at_least(3), default=5,
                         help="benchmark timing repeats (>= 3)")
 
-    p_dm = sub.add_parser("depthmap", help="export a per-patch exit-depth map",
-                          prog="morvit depthmap")
+    p_dm = commands.add_parser("depthmap", help="export a per-patch exit-depth map",
+                               prog="morvit depthmap")
     p_dm.add_argument("--ckpt", required=True, help="checkpoint path")
     p_dm.add_argument("--input", required=True,
                       help=".npy image (H,W,C in [0,1]) or 'synth:K' for holdout sample K")
@@ -91,8 +91,8 @@ def build_parser():
     p_dm.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="output format")
 
-    p_ab = sub.add_parser("ablate", help="run the four-variant ablation table",
-                          prog="morvit ablate")
+    p_ab = commands.add_parser("ablate", help="run the four-variant ablation table",
+                               prog="morvit ablate")
     p_ab.add_argument("--config", required=True, help="config file path or preset name")
     p_ab.add_argument("--data", required=True,
                       help="CIFAR-10 binary file, or 'synth'")
@@ -138,13 +138,14 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    from .checkpoint import load_checkpoint
+    from .checkpoint import load_checkpoint, params_from_checkpoint
     from .profiler import detect_degenerate
-    from .train import evaluate_checkpoint
+    from .train import evaluate
 
-    cfg = load_checkpoint(args.ckpt).config
+    ck = load_checkpoint(args.ckpt)
+    cfg = ck.config
     records = _load_records(args.data, cfg)
-    ev, _ = evaluate_checkpoint(args.ckpt, records)
+    ev = evaluate(params_from_checkpoint(ck), records, cfg)
     print(f"accuracy={ev.accuracy!r}")
     print(f"mean_exit_depth={ev.mean_exit_depth!r}")
     for cls, acc in ev.per_class_accuracy.items():
@@ -173,7 +174,8 @@ def _cmd_profile(args):
     ck = load_checkpoint(args.ckpt)
     cfg = ck.config
     params = params_from_checkpoint(ck)
-    sample = synth_holdout_set(cfg)[0][0].image
+    records = synth_holdout_set(cfg)[0]
+    sample = records[0].image
     print(f"params={param_count(cfg)}")
     if args.beta_sweep:
         print("beta\ttotal_flops")
@@ -190,7 +192,6 @@ def _cmd_profile(args):
             print(f"flops[{part}]={val}")
         print(f"aux_flops={report.aux_flops}")
     if args.bench:
-        records = synth_holdout_set(cfg)[0]
         images = [records[i % len(records)].image for i in range(args.batch)]
         bench = bench_throughput(params, cfg, images, repeats=args.repeats)
         print(f"images_per_second={bench['images_per_second']!r} "

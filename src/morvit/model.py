@@ -24,11 +24,11 @@ from .tensor import (
     add,
     cross_entropy,
     gather_rows,
+    matmul,
     mean,
     mul,
     softmax_rows,
     split_heads,
-    sub,
 )
 
 
@@ -92,18 +92,7 @@ def forward(images, params: ModelParams, cfg):
     z0 = embed(patches, params.embed)
     hidden, traces = run_recursion(z0, params.blocks, params.router, cfg)
     logits = classify(gather_rows(hidden, np.arange(len(images)) * cfg.tokens), params.head)
-    if len(images) == 1:
-        return [logits], traces
     return [gather_rows(logits, [b]) for b in range(len(images))], traces
-
-
-def task_loss(logits_list, labels):
-    """Mean softmax cross-entropy over the batch."""
-    losses = [cross_entropy(lg, int(lb)) for lg, lb in zip(logits_list, labels)]
-    total = losses[0]
-    for l in losses[1:]:
-        total = add(total, l)
-    return mul(total, 1.0 / len(losses))
 
 
 def _routing_terms(batch, mode, kappa):
@@ -114,7 +103,7 @@ def _routing_terms(batch, mode, kappa):
         total = None
         for s in batch.step_scores:
             gates = split_heads(s, 1, batch.images)                # (B, A, 1)
-            dev = sub(mean(gates, axis=1), kappa)
+            dev = add(mean(gates, axis=1), -kappa)
             sq = mul(dev, dev)
             total = sq if total is None else add(total, sq)
         return mul(total, 1.0 / len(batch.step_scores))
@@ -122,8 +111,8 @@ def _routing_terms(batch, mode, kappa):
     logits = batch.depth_logits                                    # (B*N, R)
     r = logits.shape[1]
     levels = Tensor(np.arange(1, r + 1, dtype=np.float64).reshape(r, 1) / r)
-    exp_depth = mean(split_heads(softmax_rows(logits) @ levels, 1, batch.images), axis=1)
-    dev = sub(exp_depth, kappa)  # exp_depth is (B, 1), each in (0, 1]
+    exp_depth = mean(split_heads(matmul(softmax_rows(logits), levels), 1, batch.images), axis=1)
+    dev = add(exp_depth, -kappa)  # exp_depth is (B, 1), each in (0, 1]
     return mul(dev, dev)
 
 
@@ -146,8 +135,8 @@ def routing_loss(traces, kappa):
 
 
 def total_loss(logits_list, labels, traces, cfg):
-    """task loss + routing_lambda * routing loss."""
-    lt = task_loss(logits_list, labels)
+    """Mean cross-entropy over the batch + routing_lambda * routing loss."""
+    lt = cross_entropy(logits_list, labels)
     if cfg.routing_lambda == 0.0 or cfg.routing_mode == "static":
         return lt
     lr = routing_loss(traces, 1.0 - cfg.beta)

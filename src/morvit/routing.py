@@ -204,12 +204,12 @@ def _apply_block(h, block, take, counts, gates):
         whole = members * m == take.size  # every row of the batch, in order
         if not whole:
             rows = np.flatnonzero(group)
-        sub = h if whole else gather_rows(h, rows)
-        out = encoder_block(sub, block, members)
+        part = h if whole else gather_rows(h, rows)
+        out = encoder_block(part, block, members)
         if gates is not None:
             source, slot = gates
             out = mul(gather_rows(source, slot[group]), out)
-        out = add(out, sub)
+        out = add(out, part)
         h = out if whole else scatter_rows(h, rows, out)
     return h
 

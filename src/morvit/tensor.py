@@ -14,14 +14,15 @@ allocated itself during this replay, and it releases each non-leaf gradient
 hold gradients, each in memory of its own. A backward function computes an
 input's gradient only when that input requires one, and returns None else.
 
-The encoder block is not composed of these ops. Its two sublayers,
-``backbone.attention_sublayer`` and ``backbone.mlp_sublayer``, are fused ops:
-each computes in raw numpy, records one node through ``_record`` and brings
-a hand-written backward under the same ownership rule. A block call records
-2 nodes instead of the 26 of its composed form, and its bias adds, scale,
-softmax and residuals run in place instead of allocating a Tensor each.
-Every forward matrix product, fused or not, goes through ``_mm``, the one
-place ``count_macs`` counts.
+The encoder block and the model's ends are not composed of these ops. The
+block's sublayers ``backbone.attention_sublayer`` and ``mlp_sublayer``, the
+patch embedding ``backbone.embed`` and the batch mean ``cross_entropy`` are
+fused ops: each computes in raw numpy, records one node through ``_record``
+and brings a hand-written backward under the same ownership rule. A block
+call records 2 nodes instead of the 26 of its composed form, the embedding 1
+instead of up to 6, and the loss of B images 1 instead of 2B. Every forward
+matrix product, fused or not, goes through ``_mm``, the one place
+``count_macs`` counts.
 
 Attention heads, and the images of a batch, share a leading (S*H, M, .) stack
 axis; see ``split_heads``. ``matmul`` and ``softmax_rows`` also take such
@@ -130,19 +131,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Small operator surface; everything delegates to the module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x):
@@ -258,17 +246,6 @@ def add(a, b):
     def back(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), back)
-
-
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(_broadcast(np.subtract, a, b, "sub"))
-
-    def back(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), back)
 
@@ -447,26 +424,31 @@ def concat_rows(parts):
     return _record(out, tuple(parts), back)
 
 
-def cross_entropy(logits, label):
-    """Softmax cross-entropy of one logits vector against an integer label.
+def cross_entropy(logits_list, labels):
+    """Mean softmax cross-entropy of B (1, C) logits tensors, one per label.
 
-    Computed as logsumexp(logits) - logits[label] with max subtraction, so
-    large logits neither overflow nor lose the small-loss limit.
+    Each row's term is logsumexp(logits) - logits[label] with max
+    subtraction, so large logits neither overflow nor lose the small-loss
+    limit. The terms are summed in batch order and scaled by 1/B, one node.
     """
-    logits = _as_tensor(logits)
-    flat = logits.data.reshape(-1)
-    c = flat.size
-    if not (0 <= label < c):
-        raise IndexError(f"label {label} out of range for {c} classes")
-    m = flat.max()
-    z = flat - m
-    lse = m + np.log(np.exp(z).sum())
-    out = Tensor(np.asarray(lse - flat[label]))
+    b = len(logits_list)
+    if not b or b != len(labels):
+        raise IndexError(f"{len(labels)} labels for {b} logits rows")
+    x = np.concatenate([lg.data.reshape(1, -1) for lg in logits_list])  # (B, C)
+    rows, labels = np.arange(b), np.asarray(labels, dtype=np.intp)
+    if labels.min() < 0 or labels.max() >= x.shape[1]:
+        raise IndexError(f"labels {labels} out of range for {x.shape[1]} classes")
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=1, keepdims=True)
+    terms = (m + np.log(s))[:, 0] - x[rows, labels]
+    out = Tensor(np.asarray(sum(terms) * (1.0 / b)))
 
     def back(g):
-        p = np.exp(z)
-        p /= p.sum()
-        p[label] -= 1.0
-        return (g * p.reshape(logits.shape),)
+        p = e / s
+        p[rows, labels] -= 1.0
+        p *= g * (1.0 / b)
+        return tuple(p[i].reshape(lg.shape) if lg.requires_grad else None
+                     for i, lg in enumerate(logits_list))
 
-    return _record(out, (logits,), back)
+    return _record(out, tuple(logits_list), back)

@@ -123,6 +123,7 @@ def evaluate(params: ModelParams, records, cfg) -> EvalResult:
 
 
 def evaluate_checkpoint(ckpt_path, records) -> tuple:
+    """(EvalResult, config) of a checkpoint on records; ``benchmark/run.py`` calls it."""
     ck = ckpt_io.load_checkpoint(ckpt_path)
     params = ckpt_io.params_from_checkpoint(ck)
     return evaluate(params, records, ck.config), ck.config
@@ -259,9 +260,9 @@ def run_ablation(cfg, records, holdout, epochs=None, bench_batch=16, bench_repea
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, f"{name}.ckpt")
             train(vcfg, records, out)
-            ev, _ = evaluate_checkpoint(out, holdout)
             ck = ckpt_io.load_checkpoint(out)
-            params = ckpt_io.params_from_checkpoint(ck)
+        params = ckpt_io.params_from_checkpoint(ck)
+        ev = evaluate(params, holdout, ck.config)
         bench_images = [holdout[i % len(holdout)].image for i in range(bench_batch)]
         bench = bench_throughput(params, vcfg, bench_images, repeats=bench_repeats)
         rows.append({

@@ -1,11 +1,14 @@
 """Independent reference implementations used only by tests.
 
 Most of these deliberately avoid the library's tensor ops: plain numpy /
-Python loops, composed differently from the code under test. Two keep a
+Python loops, composed differently from the code under test. Some keep a
 replaced implementation as the oracle of its replacement: the plain replay
-``reference_backward`` and ``composed_encoder_block``, the encoder block as a
+``reference_backward``; ``composed_encoder_block``, the encoder block as a
 composition of generic tape ops, one node per op (``layernorm``, ``gelu``,
-``transpose`` and ``merge_heads`` live here only, as that block used them).
+``transpose`` and ``merge_heads`` live here only, as that block used them);
+``composed_embed``, the embedding as 4 to 6 generic ops; and
+``composed_task_loss``, the batch mean as a chain of per-image
+``row_cross_entropy`` nodes.
 """
 
 import math
@@ -24,6 +27,8 @@ from morvit.tensor import (
     _split,
     add,
     backward,
+    concat_rows,
+    gather_rows,
     matmul,
     mul,
     softmax_rows,
@@ -226,3 +231,68 @@ def composed_encoder_block(h, blk, images=1):
     n = layernorm(h1, blk.ln2_g, blk.ln2_b, LN_EPS)
     mlp = add(matmul(gelu(add(matmul(n, blk.w1), blk.b1)), blk.w2), blk.b2)
     return add(h1, mlp)
+
+
+# ---------------------------------------------------------------- composed ends
+
+def composed_embed(patches, ep):
+    """Project patches, prepend the class token, add positional rows.
+
+    ``patches`` holds the N patch rows of B images one after another; the
+    result holds B blocks of N+1 rows, each the class token then the image's
+    patches.
+    """
+    if patches.shape[1] != ep.w_e.shape[0]:
+        raise ShapeError(
+            f"patch width {patches.shape[1]} does not match projection rows {ep.w_e.shape[0]}"
+        )
+    tokens = ep.e_pos.shape[0]
+    images, extra = divmod(patches.shape[0], tokens - 1)
+    if extra or not images:
+        raise ShapeError(
+            f"{patches.shape[0]} patches are not a whole number of images of {tokens - 1} "
+            f"patches ({tokens} positional rows)"
+        )
+    z = concat_rows([ep.x_cls, add(matmul(patches, ep.w_e), ep.b_e)])
+    if images == 1:
+        return add(z, ep.e_pos)
+    # image b's row t is row 0 of z (the class token) for t = 0, else row
+    # b*N + t, and its positional row is t
+    pos = np.arange(images * tokens) % tokens
+    src = np.arange(images * tokens) - np.arange(images * tokens) // tokens
+    src[pos == 0] = 0
+    return add(gather_rows(z, src), gather_rows(ep.e_pos, pos))
+
+
+def row_cross_entropy(logits, label):
+    """Softmax cross-entropy of one logits vector against an integer label.
+
+    Computed as logsumexp(logits) - logits[label] with max subtraction, so
+    large logits neither overflow nor lose the small-loss limit.
+    """
+    logits = _as_tensor(logits)
+    flat = logits.data.reshape(-1)
+    c = flat.size
+    if not (0 <= label < c):
+        raise IndexError(f"label {label} out of range for {c} classes")
+    m = flat.max()
+    z = flat - m
+    lse = m + np.log(np.exp(z).sum())
+    out = Tensor(np.asarray(lse - flat[label]))
+
+    def back(g):
+        p = np.exp(z)
+        p /= p.sum()
+        p[label] -= 1.0
+        return (g * p.reshape(logits.shape),)
+
+    return _record(out, (logits,), back)
+
+
+def composed_task_loss(logits_list, labels):
+    """Mean softmax cross-entropy over the batch."""
+    losses = [row_cross_entropy(lg, int(lb)) for lg, lb in zip(logits_list, labels)]
+    total = losses[0]
+    for l in losses[1:]:
+        total = add(total, l)
+    return mul(total, 1.0 / len(losses))

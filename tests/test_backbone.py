@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from morvit.backbone import (
     BlockParams,
+    EmbedParams,
     attention_sublayer,
     block_param_count,
     classify,
@@ -24,6 +25,7 @@ from morvit.model import forward, init_params
 from morvit.tensor import Tape, Tensor, backward, gather_rows, mul, tsum
 from oracles import (
     attention_block_reference,
+    composed_embed,
     composed_encoder_block,
     grad_check,
     patchify_reference,
@@ -110,6 +112,60 @@ def test_embed_shape_errors():
         embed(Tensor(np.zeros((4, 7))), ep)
     with pytest.raises(ShapeError):
         embed(Tensor(np.zeros((9, cfg.patch_dim))), ep)
+
+
+EMBED_TENSORS = [f.name for f in fields(EmbedParams)]
+
+
+def embed_grads(embed_fn, patches, ep, weights):
+    """Output and the gradients of sum(weights * embed(patches)) w.r.t. ep."""
+    tensors = [getattr(ep, name) for name in EMBED_TENSORS]
+    for t in tensors:
+        t.grad = None
+    with Tape():
+        out = embed_fn(patches, ep)
+        loss = tsum(mul(out, Tensor(weights)))
+    backward(loss)
+    return out.data, [t.grad for t in tensors]
+
+
+@given(images=st.integers(1, 4), grid=st.integers(1, 3), width=st.sampled_from([1, 3, 8]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_fused_embed_matches_composed_oracle(images, grid, width, seed):
+    cfg = PRESETS["tiny-desk"].replace(
+        image_h=2 * grid, image_w=2 * grid, patch_size=2, hidden=width, heads=1).validate()
+    g = gen(seed)
+    ep = init_embed_params(cfg, g)
+    for name in EMBED_TENSORS:
+        getattr(ep, name).data += g.normal(0.0, 0.3, size=getattr(ep, name).shape)
+    patches = Tensor(g.normal(size=(images * cfg.num_patches, cfg.patch_dim)))
+    weights = g.normal(size=(images * cfg.tokens, width))
+    out, grads = embed_grads(embed, patches, ep, weights)
+    ref_out, ref_grads = embed_grads(composed_embed, patches, ep, weights)
+    assert out.tobytes() == ref_out.tobytes()
+    for name, ours, ref in zip(EMBED_TENSORS, grads, ref_grads):
+        assert ours.shape == ref.shape, name
+        assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def test_embed_gradcheck_every_input():
+    cfg = tiny_cfg()
+    g = gen(6)
+    ep = init_embed_params(cfg, g)
+    patches = Tensor(g.normal(size=(2 * cfg.num_patches, cfg.patch_dim)))
+    weights = Tensor(g.normal(size=(2 * cfg.tokens, cfg.hidden)))
+    inputs = [getattr(ep, name) for name in EMBED_TENSORS]
+    assert grad_check(lambda: tsum(mul(embed(patches, ep), weights)), inputs) < 1e-6
+
+
+@pytest.mark.parametrize("images", [1, 3])
+def test_embed_records_one_tape_node(images):
+    cfg = tiny_cfg()
+    ep = init_embed_params(cfg, gen(7))
+    with Tape() as tape:
+        embed(Tensor(np.zeros((images * cfg.num_patches, cfg.patch_dim))), ep)
+    assert len(tape.nodes) == 1
 
 
 # ---------------------------------------------------------------- encoder block

@@ -263,6 +263,33 @@ def test_ablate_writes_table(tmp_path, capsys):
     assert lines[0].startswith("variant\t")
 
 
+def test_eval_and_ablate_read_each_checkpoint_once(tmp_path, micro_config_file, capsys,
+                                                   monkeypatch):
+    import morvit.checkpoint
+
+    ckpt = str(tmp_path / "m.ckpt")
+    code, _, err = run_cli(["train", "--config", micro_config_file, "--data", "synth",
+                            "--out", ckpt], capsys)
+    assert code == 0, err
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(morvit.checkpoint, "load_checkpoint", counting_load)
+    code, _, err = run_cli(["eval", "--ckpt", ckpt, "--data", "synth"], capsys)
+    assert code == 0, err
+    assert loads == [ckpt]
+    loads.clear()
+    cfg_path = str(tmp_path / "ablate.cfg")
+    save_config(micro_cfg(epochs=1, synth_samples=12, synth_holdout=8), cfg_path)
+    code, _, err = run_cli(["ablate", "--config", cfg_path, "--data", "synth",
+                            "--out", str(tmp_path / "table.tsv")], capsys)
+    assert code == 0, err
+    assert len(loads) == 4 and len(set(loads)) == 4  # one per variant
+
+
 def cifar_file(path, n, seed=9):
     g = np.random.Generator(np.random.Philox(seed))
     recs = [(i % 10, g.integers(0, 256, size=(32, 32, 3)) / 255.0) for i in range(n)]

@@ -7,17 +7,16 @@ import pytest
 from morvit import routing
 from morvit.backbone import block_param_count, classify, encoder_block, embed, patchify
 from morvit.config import PRESETS
-from morvit.data import synth_mixed_difficulty
+from morvit.data import synth_mixed_difficulty, synth_train_set
 from morvit.model import (
     forward,
     init_params,
     param_count,
     routing_loss,
-    task_loss,
     total_loss,
 )
 from morvit.profiler import count_flops
-from morvit.tensor import Tape, Tensor, add, backward, count_macs, gather_rows
+from morvit.tensor import Tape, Tensor, add, backward, count_macs, cross_entropy, gather_rows, mul
 from oracles import composed_encoder_block, grad_check, reference_backward
 
 
@@ -155,20 +154,20 @@ def test_fused_block_in_the_model_matches_composed_oracle(mode, monkeypatch):
 # ---------------------------------------------------------------- losses
 
 def test_task_loss_uniform_logits():
-    out = task_loss([Tensor(np.zeros((1, 7)))], [2])
+    out = cross_entropy([Tensor(np.zeros((1, 7)))], [2])
     assert abs(float(out.data) - np.log(7)) < 1e-12
 
 
 def test_task_loss_sharp_logits_vanish():
     hot = np.zeros((1, 10))
     hot[0, 3] = 50.0
-    assert float(task_loss([Tensor(hot)], [3]).data) < 1e-20
+    assert float(cross_entropy([Tensor(hot)], [3]).data) < 1e-20
 
 
 def test_task_loss_gradcheck():
     x = Tensor(gen(7).normal(size=(1, 5)), requires_grad=True)
     y = Tensor(gen(8).normal(size=(1, 5)), requires_grad=True)
-    err = grad_check(lambda: task_loss([x, y], [1, 3]), [x, y])
+    err = grad_check(lambda: cross_entropy([x, y], [1, 3]), [x, y])
     assert err < 1e-6
 
 
@@ -237,7 +236,7 @@ def test_total_loss_lambda_zero_equals_task():
     recs, _ = synth_mixed_difficulty(2, 11, cfg)
     logits_list, traces = forward([r.image for r in recs], params, cfg)
     labels = [r.label for r in recs]
-    lt = task_loss(logits_list, labels)
+    lt = cross_entropy(logits_list, labels)
     tot = total_loss(logits_list, labels, traces, cfg)
     assert float(tot.data) == float(lt.data)
 
@@ -248,7 +247,7 @@ def test_total_loss_additivity():
     recs, _ = synth_mixed_difficulty(2, 12, cfg)
     logits_list, traces = forward([r.image for r in recs], params, cfg)
     labels = [r.label for r in recs]
-    lt = float(task_loss(logits_list, labels).data)
+    lt = float(cross_entropy(logits_list, labels).data)
     lr = float(routing_loss(traces, 1.0 - cfg.beta).data)
     tot = float(total_loss(logits_list, labels, traces, cfg).data)
     assert abs(tot - (lt + lr)) < 1e-12
@@ -266,10 +265,10 @@ def test_total_loss_gradient_is_sum_of_parts():
         with Tape():
             (logits,), (trace,) = forward([img], params, cfg)
             if loss_kind == "task":
-                loss = task_loss([logits], [label])
+                loss = cross_entropy([logits], [label])
             elif loss_kind == "routing":
                 loss = Tensor(np.asarray(0.0))
-                loss = add(loss, routing_loss([trace], 1.0 - cfg.beta) * cfg.routing_lambda)
+                loss = add(loss, mul(routing_loss([trace], 1.0 - cfg.beta), cfg.routing_lambda))
             else:
                 loss = total_loss([logits], [label], [trace], cfg)
         backward(loss)
@@ -310,6 +309,24 @@ def test_total_loss_gradients_match_reference_replay_bytewise(preset, over):
         if ref[name] is not None:
             assert ours[name].shape == ref[name].shape, name
             assert ours[name].tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("mode,share,nodes", [
+    ("expert_choice", True, {8: 89, 1: 82}),
+    ("token_choice", True, {8: 95, 1: 36}),
+    ("static", False, {8: 25, 1: 18}),
+], ids=["expert_choice", "token_choice", "static_unshared"])
+def test_training_step_tape_nodes_are_pinned(mode, share, nodes):
+    # embed, each block sublayer and the batch's cross-entropy are one node
+    # each; a change to these counts is a change to the graph's design
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode, share_params=share).validate()
+    params = init_params(cfg)
+    recs = synth_train_set(cfg)[0][:8]
+    for batch, expected in nodes.items():
+        with Tape() as tape:
+            logits_list, traces = forward([r.image for r in recs[:batch]], params, cfg)
+            total_loss(logits_list, [r.label for r in recs[:batch]], traces, cfg)
+            assert len(tape.nodes) == expected, batch
 
 
 def test_backward_leaves_no_reference_cycles():
