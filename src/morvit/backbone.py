@@ -2,7 +2,12 @@
 
 The encoder block is the function the recursion loop re-applies; it is a
 plain pre-norm transformer block (LN -> multi-head self-attention -> residual,
-LN -> GELU MLP -> residual) over exactly the rows it is given.
+LN -> GELU MLP -> residual) over exactly the rows it is given. Those rows are
+a list of ``runs``, one per image, each the length of its image's rows; a row
+attends only to the rows of its own run. Every step of the recursion is one
+block call, whatever the mix of run lengths: all but the attention core run
+over all rows at once, and the core runs once per stretch of consecutive
+equal runs, as one (S*H, M, dh) stack of the stretch's contiguous rows.
 
 Each of the block's two sublayers is one fused op, ``attention_sublayer``
 and ``mlp_sublayer``: it computes ``x + f(LN(x))`` in raw numpy, records a
@@ -19,6 +24,7 @@ past the call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,36 +230,88 @@ def _check_rows(h, width, what):
         raise ShapeError(f"{what} expects rows of width {width}, got shape {h.shape}")
 
 
-def attention_sublayer(h, blk: BlockParams, images=1):
-    """h + MHSA(LN1(h)) as one tape node; ``images`` as in ``encoder_block``."""
-    x, heads = h.data, blk.heads
-    _check_rows(x, blk.ln1_g.shape[0], "attention_sublayer")
-    if x.shape[1] % heads or images < 1 or x.shape[0] % images:
-        raise ShapeError(f"cannot split shape {x.shape} into {images} x {heads} heads")
-    scale = 1.0 / math.sqrt(x.shape[1] // heads)
-    gain = blk.ln1_g.data
-    a, xhat, inv = _layernorm(x, gain, blk.ln1_b.data)
-    q = _split(_affine(a, blk.wq, blk.bq), heads, images)  # (S*H, M, dh)
-    k = _split(_affine(a, blk.wk, blk.bk), heads, images)
-    v = _split(_affine(a, blk.wv, blk.bv), heads, images)
+def _stretches(runs):
+    """(first row, end row, runs) of each stretch of consecutive equal runs."""
+    out, lo = [], 0
+    for m, group in itertools.groupby(runs):
+        n = len(list(group))
+        out.append((lo, lo + n * m, n))
+        lo += n * m
+    return out
+
+
+def _attend(q, k, v, runs, scale):
+    """Softmax attention over the (S*H, M, dh) stacks of ``runs`` equal runs.
+
+    Returns the arrays the backward reads, (q, k, v, att), and the attended
+    values merged back into (S*M, D) rows.
+    """
     att = _mm(q, k.swapaxes(1, 2))  # (S*H, M, M)
     att *= scale
     att -= att.max(axis=2, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=2, keepdims=True)
-    ctx = _merge(_mm(att, v), images)  # (S*M, D)
+    return (q, k, v, att), _merge(_mm(att, v), runs)
+
+
+def _attend_back(dctx, saved, runs, scale):
+    """(dq, dk, dv) rows of ``_attend`` for the (S*H, M, dh) stack dctx."""
+    q, k, v, att = saved
+    ds = dctx @ v.swapaxes(1, 2)
+    ds -= (ds * att).sum(axis=2, keepdims=True)
+    ds *= att
+    ds *= scale
+    return (_merge(ds @ k, runs), _merge(ds.swapaxes(1, 2) @ q, runs),
+            _merge(att.swapaxes(1, 2) @ dctx, runs))
+
+
+def attention_sublayer(h, blk: BlockParams, runs=None):
+    """h + MHSA(LN1(h)) as one tape node; ``runs`` as in ``encoder_block``.
+
+    LN1, the projections and the residual run once over all rows. The
+    attention core runs once per stretch of consecutive runs of equal length,
+    on that stretch's contiguous rows as one (S*H, M, dh) stack; with a
+    single run length it is one stack over all rows.
+    """
+    x, heads = h.data, blk.heads
+    _check_rows(x, blk.ln1_g.shape[0], "attention_sublayer")
+    if runs is None:
+        runs = [x.shape[0]]
+    if (x.shape[1] % heads or not runs or min(runs) < 1 or sum(runs) != x.shape[0]):
+        raise ShapeError(f"cannot split shape {x.shape} into runs {runs} of {heads} heads")
+    n = len(runs)
+    stretches = None if runs.count(runs[0]) == n else _stretches(runs)
+    scale = 1.0 / math.sqrt(x.shape[1] // heads)
+    gain = blk.ln1_g.data
+    a, xhat, inv = _layernorm(x, gain, blk.ln1_b.data)
+    if stretches is None:
+        # each projection is split as soon as it is made, so only one
+        # unsplit copy is alive at a time
+        q = _split(_affine(a, blk.wq, blk.bq), heads, n)  # (S*H, M, dh)
+        k = _split(_affine(a, blk.wk, blk.bk), heads, n)
+        v = _split(_affine(a, blk.wv, blk.bv), heads, n)
+        saved, ctx = _attend(q, k, v, n, scale)  # ctx: (S*M, D)
+    else:
+        q = _affine(a, blk.wq, blk.bq)
+        k = _affine(a, blk.wk, blk.bk)
+        v = _affine(a, blk.wv, blk.bv)
+        saved, ctx = [], np.empty_like(q)
+        for lo, hi, s in stretches:
+            part, ctx[lo:hi] = _attend(_split(q[lo:hi], heads, s), _split(k[lo:hi], heads, s),
+                                       _split(v[lo:hi], heads, s), s, scale)
+            saved.append(part)
     out = _affine(ctx, blk.wo, blk.bo)
     out += x
 
     def back(g):
-        dctx = _split(g @ blk.wo.data.T, heads, images)
-        ds = dctx @ v.swapaxes(1, 2)
-        ds -= (ds * att).sum(axis=2, keepdims=True)
-        ds *= att
-        ds *= scale
-        dq = _merge(ds @ k, images)
-        dk = _merge(ds.swapaxes(1, 2) @ q, images)
-        dv = _merge(att.swapaxes(1, 2) @ dctx, images)
+        if stretches is None:
+            dq, dk, dv = _attend_back(_split(g @ blk.wo.data.T, heads, n), saved, n, scale)
+        else:
+            dctx = g @ blk.wo.data.T
+            dq, dk, dv = np.empty_like(dctx), np.empty_like(dctx), np.empty_like(dctx)
+            for (lo, hi, s), part in zip(stretches, saved):
+                dq[lo:hi], dk[lo:hi], dv[lo:hi] = _attend_back(
+                    _split(dctx[lo:hi], heads, s), part, s, scale)
         da = dv @ blk.wv.data.T
         da += dk @ blk.wk.data.T
         da += dq @ blk.wq.data.T
@@ -296,10 +354,11 @@ def mlp_sublayer(h, blk: BlockParams):
     return _record(Tensor(out), (h, blk.ln2_g, blk.ln2_b, blk.w1, blk.b1, blk.w2, blk.b2), back)
 
 
-def encoder_block(h, blk: BlockParams, images=1):
-    """Pre-norm block over the rows of h, which hold ``images`` equal runs of
-    M rows; attention sees only the rows of its own run."""
-    return mlp_sublayer(attention_sublayer(h, blk, images), blk)
+def encoder_block(h, blk: BlockParams, runs=None):
+    """Pre-norm block over the rows of h, which hold one run of rows per
+    image, of the lengths in the list ``runs`` (None: one run of every row);
+    attention sees only the rows of its own run."""
+    return mlp_sublayer(attention_sublayer(h, blk, runs), blk)
 
 
 def classify(h_cls, head: HeadParams):

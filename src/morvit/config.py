@@ -152,11 +152,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
 
 
-def save_config(cfg: RunConfig, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
-
-
 # Named presets. vit-b16 / mor-b16 are the full-scale geometries (used for
 # parameter accounting, never trained here); the desk-* presets fit in
 # seconds-to-minutes on one CPU core; tiny-desk is the gradient-check size.

@@ -60,9 +60,6 @@ class ModelParams:
         out.update(_tensor_fields("head", self.head))
         return out
 
-    def total_params(self):
-        return sum(t.size for t in self.named().values())
-
     def zero_grads(self):
         for t in self.named().values():
             t.grad = None

@@ -18,10 +18,13 @@ Three modes:
 
 The batch is one step-synchronous computation. Its hidden state is a
 (B*(N+1), D) row matrix in which image b owns rows [b*(N+1), (b+1)*(N+1)).
-At each step the rows that take part are packed into one matrix per group of
-images with the same number of participants, and each group goes through the
-block once. Expert-choice keeps the same count in every image and static
-keeps all tokens, so those modes always form a single group.
+Each step is one gather, one block call, one gated residual update and one
+scatter, in every mode. The rows that take part are packed image by image,
+and the block gets each image's number of rows (its run) and attends within
+runs only. Under token-choice the images of a step take different numbers of
+rows, so they are packed in order of that number, and the block attends over
+each stretch of equal runs as one stack. Expert-choice keeps the same count
+in every image and static keeps all tokens, so their rows keep batch order.
 """
 
 from __future__ import annotations
@@ -167,8 +170,8 @@ def _expert_choice_take(h, active, step_router, beta, batch):
     """Score every active patch and keep each image's top K.
 
     Returns the (B, N+1) mask of the rows that take part, the gates as
-    (source tensor, (B, N+1) map from a row to its source row) and the
-    number of patches each image scored. Row 0 of the source is the class
+    (source tensor, map from each row of the batch to its source row) and
+    the number of patches each image scored. Row 0 of the source is the class
     token's gate of 1, row 1 + j is the j-th score.
     """
     images, tokens = active.shape
@@ -186,32 +189,34 @@ def _expert_choice_take(h, active, step_router, beta, batch):
     slot = np.zeros(images * tokens, dtype=np.intp)
     slot[rows[pick]] = pick + 1
     source = concat_rows([Tensor(np.ones((1, 1))), scores])
-    return take.reshape(images, tokens), (source, slot.reshape(images, tokens)), a
+    return take.reshape(images, tokens), (source, slot), a
 
 
 def _apply_block(h, block, take, counts, gates):
-    """Update every taken row as g * block(rows) + rows.
+    """Update every taken row as g * block(rows) + rows, in one block call.
 
-    ``counts`` holds each image's number of taken rows. Images with the same
-    count form one group and go through the block together, each image's
-    rows attending only to each other. ``gates`` is None for an ungated
-    update, else as ``_expert_choice_take`` returns it.
+    ``counts`` holds each image's number of taken rows. The taken rows are
+    gathered image by image, the images ordered by their count (stably, so
+    equal counts keep image order), and go through the block as one run per
+    image: each image's rows attend only to each other, and the images of
+    equal count form one contiguous stretch. With one count the order is the
+    batch's own. ``gates`` is None for an ungated update, else as
+    ``_expert_choice_take`` returns it.
     """
-    sizes = sorted(set(counts) - {0})
-    for m in sizes:
-        members = counts.count(m)
-        group = take if len(sizes) == 1 else take & (np.asarray(counts) == m)[:, None]
-        whole = members * m == take.size  # every row of the batch, in order
-        if not whole:
-            rows = np.flatnonzero(group)
-        part = h if whole else gather_rows(h, rows)
-        out = encoder_block(part, block, members)
-        if gates is not None:
-            source, slot = gates
-            out = mul(gather_rows(source, slot[group]), out)
-        out = add(out, part)
-        h = out if whole else scatter_rows(h, rows, out)
-    return h
+    runs = [m for m in counts if m]
+    whole = sum(runs) == take.size  # every row of the batch, in order
+    if not whole:
+        rows = np.flatnonzero(take)
+        if runs.count(runs[0]) < len(runs):
+            rows = rows[np.argsort(np.asarray(counts)[rows // take.shape[1]], kind="stable")]
+            runs.sort()
+    part = h if whole else gather_rows(h, rows)
+    out = encoder_block(part, block, runs)
+    if gates is not None:
+        source, slot = gates
+        out = mul(gather_rows(source, slot if whole else slot[rows]), out)
+    out = add(out, part)
+    return out if whole else scatter_rows(h, rows, out)
 
 
 def run_recursion(z0, blocks, router: RouterParams, cfg):

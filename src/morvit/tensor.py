@@ -357,6 +357,13 @@ def sigmoid(x):
     return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
 
 
+def _unique(idx, n):
+    """Whether no index repeats, for indices in [0, n): O(n) marks, no sort."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return np.count_nonzero(seen) == idx.size
+
+
 def gather_rows(x, idx):
     """Select rows by index; backward scatter-adds into the source rows."""
     x = _as_tensor(x)
@@ -369,13 +376,18 @@ def gather_rows(x, idx):
     out = Tensor(x.data[idx])
 
     def back(g):
-        # Each row's first occurrence is a plain write; only the repeats
-        # are added, in index order, as a zero-filled np.add.at would.
-        rows, first = np.unique(idx, return_index=True)
         dx = np.zeros_like(x.data)
-        dx[rows] = g[first]
-        if rows.size < idx.size:
-            np.add.at(dx, np.delete(idx, first), np.delete(g, first, axis=0))
+        if _unique(idx, n):
+            dx[idx] = g
+            return (dx,)
+        # Each row's first occurrence is a plain write; only the repeats
+        # are added, in index order.
+        at = np.arange(idx.size)
+        first = np.full(n, idx.size)
+        np.minimum.at(first, idx, at)
+        once = first[idx] == at
+        dx[idx[once]] = g[once]
+        np.add.at(dx, idx[~once], g[~once])
         return (dx,)
 
     return _record(out, (x,), back)
@@ -394,10 +406,10 @@ def scatter_rows(base, idx, rows):
         raise ShapeError(
             f"scatter_rows mismatch: base {base.shape}, rows {rows.shape}, {idx.size} indices"
         )
-    if idx.size != np.unique(idx).size:
-        raise IndexError("scatter_rows requires unique indices")
     if idx.size and (idx.min() < 0 or idx.max() >= base.shape[0]):
         raise IndexError(f"scatter_rows index out of range for {base.shape[0]} rows")
+    if not _unique(idx, base.shape[0]):
+        raise IndexError("scatter_rows requires unique indices")
     data = base.data.copy()
     data[idx] = rows.data
     out = Tensor(data)

@@ -4,7 +4,8 @@ Most of these deliberately avoid the library's tensor ops: plain numpy /
 Python loops, composed differently from the code under test. Some keep a
 replaced implementation as the oracle of its replacement: the plain replay
 ``reference_backward``; ``composed_encoder_block``, the encoder block as a
-composition of generic tape ops, one node per op (``layernorm``, ``gelu``,
+composition of generic tape ops, one node per op and each run of rows
+composed alone (``layernorm``, ``gelu``,
 ``transpose`` and ``merge_heads`` live here only, as that block used them);
 ``composed_embed``, the embedding as 4 to 6 generic ops; and
 ``composed_task_loss``, the batch mean as a chain of per-image
@@ -216,16 +217,30 @@ def gelu(x):
     return _record(out, (x,), back)
 
 
-def composed_encoder_block(h, blk, images=1):
-    """The encoder block as 26 generic tape ops, the fused sublayers' oracle."""
+def composed_encoder_block(h, blk, runs=None):
+    """The encoder block as generic tape ops, the fused sublayers' oracle.
+
+    ``runs`` as in ``encoder_block``. Each run goes through its own 26 ops,
+    on its rows alone, and the runs' outputs are concatenated.
+    """
+    if runs is None or len(runs) == 1:
+        return _composed_run(h, blk)
+    outs, lo = [], 0
+    for m in runs:
+        outs.append(_composed_run(gather_rows(h, np.arange(lo, lo + m)), blk))
+        lo += m
+    return concat_rows(outs)
+
+
+def _composed_run(h, blk):
     scale = 1.0 / math.sqrt(h.shape[1] // blk.heads)
 
     a = layernorm(h, blk.ln1_g, blk.ln1_b, LN_EPS)
-    q = split_heads(add(matmul(a, blk.wq), blk.bq), blk.heads, images)  # (S*H, M, dh)
-    k = split_heads(add(matmul(a, blk.wk), blk.bk), blk.heads, images)
-    v = split_heads(add(matmul(a, blk.wv), blk.bv), blk.heads, images)
-    att = softmax_rows(mul(matmul(q, transpose(k)), scale))  # (S*H, M, M)
-    o = add(matmul(merge_heads(matmul(att, v), images), blk.wo), blk.bo)
+    q = split_heads(add(matmul(a, blk.wq), blk.bq), blk.heads)  # (H, M, dh)
+    k = split_heads(add(matmul(a, blk.wk), blk.bk), blk.heads)
+    v = split_heads(add(matmul(a, blk.wv), blk.bv), blk.heads)
+    att = softmax_rows(mul(matmul(q, transpose(k)), scale))  # (H, M, M)
+    o = add(matmul(merge_heads(matmul(att, v)), blk.wo), blk.bo)
     h1 = add(h, o)
 
     n = layernorm(h1, blk.ln2_g, blk.ln2_b, LN_EPS)

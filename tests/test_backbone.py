@@ -224,13 +224,13 @@ def perturbed_block(cfg, seed):
     return blk
 
 
-def block_grads(block_fn, h, blk, weights, images):
+def block_grads(block_fn, h, blk, weights, runs):
     """Output and the gradients of sum(weights * block(h)) w.r.t. h and blk."""
     tensors = [h] + [getattr(blk, name) for name in BLOCK_TENSORS]
     for t in tensors:
         t.grad = None
     with Tape():
-        out = block_fn(h, blk, images)
+        out = block_fn(h, blk, runs)
         loss = tsum(mul(out, Tensor(weights)))
     backward(loss)
     return out.data, [t.grad for t in tensors]
@@ -245,8 +245,8 @@ def test_fused_block_matches_composed_oracle(segments, rows, heads, seed):
     g = gen(seed + 2)
     h = Tensor(g.normal(size=(segments * rows, cfg.hidden)), requires_grad=True)
     weights = g.normal(size=h.shape)
-    out, grads = block_grads(encoder_block, h, blk, weights, segments)
-    ref_out, ref_grads = block_grads(composed_encoder_block, h, blk, weights, segments)
+    out, grads = block_grads(encoder_block, h, blk, weights, [rows] * segments)
+    ref_out, ref_grads = block_grads(composed_encoder_block, h, blk, weights, [rows] * segments)
     assert np.abs(out - ref_out).max() < 1e-13
     for name, ours, ref in zip(["h"] + BLOCK_TENSORS, grads, ref_grads):
         assert ours.shape == ref.shape, name
@@ -257,6 +257,26 @@ def test_fused_block_matches_composed_oracle(segments, rows, heads, seed):
         assert np.abs(ours - ref).max() < bound, name
 
 
+@given(runs=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       heads=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_fused_block_ragged_runs_match_composed_oracle(runs, heads, seed):
+    # runs of any lengths in any order: equal runs that are not next to each
+    # other fall in different stretches
+    cfg = PRESETS["tiny-desk"].replace(heads=heads).validate()
+    blk = perturbed_block(cfg, seed)
+    g = gen(seed + 3)
+    h = Tensor(g.normal(size=(sum(runs), cfg.hidden)), requires_grad=True)
+    weights = g.normal(size=h.shape)
+    out, grads = block_grads(encoder_block, h, blk, weights, runs)
+    ref_out, ref_grads = block_grads(composed_encoder_block, h, blk, weights, runs)
+    assert np.abs(out - ref_out).max() < 1e-12 * max(1.0, np.abs(ref_out).max())
+    assert len(grads) == 17
+    for name, ours, ref in zip(["h"] + BLOCK_TENSORS, grads, ref_grads):
+        assert ours.shape == ref.shape, name
+        assert np.abs(ours - ref).max() < 1e-12 * max(1.0, np.abs(ref).max()), name
+
+
 def test_fused_block_gradcheck_every_input():
     cfg = tiny_cfg()
     blk = perturbed_block(cfg, 21)
@@ -264,10 +284,11 @@ def test_fused_block_gradcheck_every_input():
     h = Tensor(g.normal(size=(6, cfg.hidden)), requires_grad=True)
     weights = Tensor(g.normal(size=h.shape))
     inputs = [h] + [getattr(blk, name) for name in BLOCK_TENSORS if name != "bk"]
-    assert grad_check(lambda: tsum(mul(encoder_block(h, blk, 2), weights)), inputs) < 1e-6
-    # bk's gradient is exactly 0 in exact arithmetic: compare absolutely
-    assert grad_check(lambda: tsum(mul(encoder_block(h, blk, 2), weights)), [blk.bk],
-                      floor=np.inf) < 1e-8
+    for runs in ([3, 3], [2, 1, 3]):
+        assert grad_check(lambda: tsum(mul(encoder_block(h, blk, runs), weights)), inputs) < 1e-6
+        # bk's gradient is exactly 0 in exact arithmetic: compare absolutely
+        assert grad_check(lambda: tsum(mul(encoder_block(h, blk, runs), weights)), [blk.bk],
+                          floor=np.inf) < 1e-8
 
 
 def test_encoder_block_records_two_tape_nodes():
@@ -275,7 +296,7 @@ def test_encoder_block_records_two_tape_nodes():
     blk = init_block_params(cfg, gen(24))
     h = Tensor(gen(25).normal(size=(6, cfg.hidden)), requires_grad=True)
     with Tape() as tape:
-        encoder_block(h, blk, 3)
+        encoder_block(h, blk, [1, 2, 2, 1])
     assert len(tape.nodes) == 2
 
 
@@ -285,7 +306,9 @@ def test_sublayers_reject_bad_shapes():
     with pytest.raises(ShapeError):
         attention_sublayer(Tensor(np.zeros((4, cfg.hidden + 1))), blk)
     with pytest.raises(ShapeError):
-        attention_sublayer(Tensor(np.zeros((5, cfg.hidden))), blk, 2)
+        attention_sublayer(Tensor(np.zeros((5, cfg.hidden))), blk, [2, 2])
+    with pytest.raises(ShapeError):
+        attention_sublayer(Tensor(np.zeros((5, cfg.hidden))), blk, [5, 0])
     with pytest.raises(ShapeError):
         mlp_sublayer(Tensor(np.zeros(cfg.hidden)), blk)
 

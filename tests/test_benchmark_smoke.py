@@ -1,6 +1,7 @@
 """Short runs of the whole-program benchmark, so its own output checks gate
 every change: logits against the plain-numpy reference forward, central
-differences, 2 x MACs == count_flops and, traced, the encoder_block span.
+differences, 2 x MACs == count_flops and, traced, one encoder_block call
+per recursion step.
 A static check names every program attribute the benchmark reaches."""
 
 import ast
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+
+from morvit.config import PRESETS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -55,4 +58,8 @@ def test_benchmark_run_is_correct(workload, trace):
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
     if trace:
-        assert result["metrics"]["backbone.encoder_block_calls_per_img"]["value"] > 0
+        # one block call per recursion step of a batch, whatever the images'
+        # mix of depths (tc-synth runs the desk-synth preset)
+        cfg = PRESETS["desk-synth"]
+        calls = result["metrics"]["backbone.encoder_block_calls_per_img"]["value"]
+        assert 0 < calls <= cfg.max_recursion / cfg.batch_size

@@ -9,12 +9,17 @@ import pytest
 
 from morvit.checkpoint import load_checkpoint, save_checkpoint
 from morvit.cli import build_parser, main
-from morvit.config import PRESETS, save_config
+from morvit.config import PRESETS, serialize_config
 from morvit.model import init_params
 from test_data import cifar_bytes
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def save_config(cfg, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_config(cfg))
 
 
 def micro_cfg(**kw):

@@ -355,15 +355,17 @@ def test_token_choice_batch_groups_by_participant_count(monkeypatch):
     calls = []
     block = routing.encoder_block
 
-    def counted(h, blk, images=1):
-        calls.append((h.shape[0], images))
-        return block(h, blk, images)
+    def counted(h, blk, runs=None):
+        calls.append((h.shape[0], runs))
+        return block(h, blk, runs)
 
     monkeypatch.setattr(routing, "encoder_block", counted)
     hidden, traces = run_recursion(Tensor(np.concatenate(z0s)), params.blocks, params.router, cfg)
-    # step 1: all three images; step 2: 5 rows of image 0 and 3 of image 2;
-    # step 3: 5 rows of image 0 and 2 of image 2; image 1 stopped after step 1
-    assert calls == [(15, 3), (3, 1), (5, 1), (2, 1), (5, 1)]
+    # one block call per step, with one run per image grouped by its count:
+    # step 1: all three images; step 2: 3 rows of image 2, then 5 of image 0
+    # (shorter runs first); step 3: 2 rows of image 2, then 5 of image 0;
+    # image 1 stopped after step 1
+    assert calls == [(15, [5, 5, 5]), (8, [3, 5]), (7, [2, 5])]
     assert [t.step_attended for t in traces] == [[5, 5, 5], [5], [5, 3, 2]]
     assert [t.exit_depth.tolist() for t in traces] == \
         [[3, 3, 3, 3, 3], [3, 1, 1, 1, 1], [3, 3, 1, 2, 1]]

@@ -259,6 +259,16 @@ def test_gather_backward_matches_zero_filled_add_at(idx):
     assert dx.tobytes() == expected.tobytes()
 
 
+def test_gather_backward_first_occurrence_is_a_plain_write():
+    # a row named once, or first, takes g's row as is, so -0.0 keeps its sign
+    x = Tensor(np.ones((4, 1)), requires_grad=True)
+    g = np.array([[-0.0], [-0.0], [1.0], [-0.0]])
+    with Tape() as tape:
+        gather_rows(x, [3, 1, 1, 0])
+    (dx,) = tape.nodes[-1].backfn(g)
+    assert dx.tobytes() == np.array([[-0.0], [1.0], [0.0], [-0.0]]).tobytes()
+
+
 @given(st.permutations(list(range(6))))
 @settings(max_examples=30, deadline=None)
 def test_gather_gather_inverse_identity(perm):
