@@ -9,23 +9,28 @@ block call, whatever the mix of run lengths: all but the attention core run
 over all rows at once, and the core runs once per stretch of consecutive
 equal runs, as one (S*H, M, dh) stack of the stretch's contiguous rows.
 
-Each of the block's two sublayers is one fused op, ``attention_sublayer``
-and ``mlp_sublayer``: it computes ``x + f(LN(x))`` in raw numpy, records a
-single tape node and brings its own backward. So a block call costs 2 tape
-nodes instead of 26. Bias adds, the attention scale, the softmax and the
-residual run in place on arrays the op allocated itself, and ``k`` enters
-``q @ k^T`` as a transposed view. GELU's normal CDF is ``scipy.special.ndtr``:
-on a (520, 256) activation it took 2.1 ms against 2.9 ms for
-``0.5 * (1 + erf(u / sqrt(2)))`` (2-core x86-64 host), and it equals that
-form within 2.2e-16 on N(0, 1) samples. The arrays a backward reads are
-held only by the closure a tape records, so inference keeps none of them
-past the call.
+The block runs in raw numpy on arrays, not on tensors. Each sublayer,
+``x + f(LN(x))``, is a forward that returns its output and, only when asked
+to keep it, the closure of its hand-written backward (``_attention`` and
+``_mlp``). ``encoder_block`` chains the two, and the recursion step
+(``routing._apply_block``) records it inside its one tape node.
+``attention_sublayer`` and ``mlp_sublayer`` wrap the same pairs as one tape
+node each. A forward without a tape keeps no closure, so what a backward
+would read is freed as each sublayer returns: keeping the attention's
+arrays alive through the MLP raised the peak of an 8-image desk-bench
+forward from 6.9 to 11.0 MB. Bias adds, the attention scale, the softmax
+and the residual run in place on arrays the forward allocated itself, and
+``k`` enters ``q @ k^T`` as a transposed view. GELU's normal CDF is
+``scipy.special.ndtr``: on a (520, 256) activation it took 2.1 ms against
+2.9 ms for ``0.5 * (1 + erf(u / sqrt(2)))`` (2-core x86-64 host), and it
+equals that form within 2.2e-16 on N(0, 1) samples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,7 @@ from .tensor import (
     _merge,
     _mm,
     _record,
+    _recording,
     _split,
     add,
     matmul,
@@ -203,9 +209,10 @@ def _layernorm(x, gain, bias):
 
 def _layernorm_back(dy, xhat, inv, gain):
     """(dx, dgain, dbias) of the output gradient dy of ``_layernorm``."""
+    d = dy.shape[1]
     dxhat = dy * gain
-    dx = dxhat - dxhat.mean(axis=1, keepdims=True)
-    dx -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    dx = dxhat - dxhat.sum(axis=1, keepdims=True) / d
+    dx -= xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
     dx *= inv
     return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
 
@@ -265,15 +272,28 @@ def _attend_back(dctx, saved, runs, scale):
             _merge(att.swapaxes(1, 2) @ dctx, runs))
 
 
-def attention_sublayer(h, blk: BlockParams, runs=None):
-    """h + MHSA(LN1(h)) as one tape node; ``runs`` as in ``encoder_block``.
+# The tensors of each sublayer, and of the block (attention's, then the
+# MLP's), in the order their backwards return the gradients.
+_attention_tensors = operator.attrgetter(
+    "ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+_mlp_tensors = operator.attrgetter("ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
+
+
+def block_tensors(blk: BlockParams):
+    """The block's 16 tensors, in the order ``encoder_block``'s backward
+    returns their gradients."""
+    return _attention_tensors(blk) + _mlp_tensors(blk)
+
+
+def _attention(x, blk, runs, keep):
+    """Raw x + MHSA(LN1(x)): (output, backward or None), as ``encoder_block``.
 
     LN1, the projections and the residual run once over all rows. The
     attention core runs once per stretch of consecutive runs of equal length,
     on that stretch's contiguous rows as one (S*H, M, dh) stack; with a
     single run length it is one stack over all rows.
     """
-    x, heads = h.data, blk.heads
+    heads = blk.heads
     _check_rows(x, blk.ln1_g.shape[0], "attention_sublayer")
     if runs is None:
         runs = [x.shape[0]]
@@ -299,9 +319,12 @@ def attention_sublayer(h, blk: BlockParams, runs=None):
         for lo, hi, s in stretches:
             part, ctx[lo:hi] = _attend(_split(q[lo:hi], heads, s), _split(k[lo:hi], heads, s),
                                        _split(v[lo:hi], heads, s), s, scale)
-            saved.append(part)
+            if keep:
+                saved.append(part)
     out = _affine(ctx, blk.wo, blk.bo)
     out += x
+    if not keep:
+        return out, None
 
     def back(g):
         if stretches is None:
@@ -317,17 +340,15 @@ def attention_sublayer(h, blk: BlockParams, runs=None):
         da += dq @ blk.wq.data.T
         dx, dgain, dbias = _layernorm_back(da, xhat, inv, gain)
         dx += g
-        return (dx if h.requires_grad else None, dgain, dbias, *_affine_grads(
+        return (dx, dgain, dbias, *_affine_grads(
             (a, dq, blk.wq, blk.bq), (a, dk, blk.wk, blk.bk), (a, dv, blk.wv, blk.bv),
             (ctx, g, blk.wo, blk.bo)))
 
-    return _record(Tensor(out), (h, blk.ln1_g, blk.ln1_b, blk.wq, blk.bq, blk.wk, blk.bk,
-                                 blk.wv, blk.bv, blk.wo, blk.bo), back)
+    return out, back
 
 
-def mlp_sublayer(h, blk: BlockParams):
-    """h + W2 GELU(LN2(h) W1 + b1) + b2 as one tape node."""
-    x = h.data
+def _mlp(x, blk, keep):
+    """Raw x + W2 GELU(LN2(x) W1 + b1) + b2: (output, backward or None)."""
     _check_rows(x, blk.ln2_g.shape[0], "mlp_sublayer")
     gain = blk.ln2_g.data
     n, xhat, inv = _layernorm(x, gain, blk.ln2_b.data)
@@ -336,6 +357,8 @@ def mlp_sublayer(h, blk: BlockParams):
     act = u * phi
     out = _affine(act, blk.w2, blk.b2)
     out += x
+    if not keep:
+        return out, None
 
     def back(g):
         # GELU'(u) = phi(u) + u * pdf(u)
@@ -348,17 +371,46 @@ def mlp_sublayer(h, blk: BlockParams):
         du *= g @ blk.w2.data.T
         dx, dgain, dbias = _layernorm_back(du @ blk.w1.data.T, xhat, inv, gain)
         dx += g
-        return (dx if h.requires_grad else None, dgain, dbias, *_affine_grads(
-            (n, du, blk.w1, blk.b1), (act, g, blk.w2, blk.b2)))
+        return (dx, dgain, dbias, *_affine_grads((n, du, blk.w1, blk.b1), (act, g, blk.w2, blk.b2)))
 
-    return _record(Tensor(out), (h, blk.ln2_g, blk.ln2_b, blk.w1, blk.b1, blk.w2, blk.b2), back)
+    return out, back
 
 
-def encoder_block(h, blk: BlockParams, runs=None):
-    """Pre-norm block over the rows of h, which hold one run of rows per
-    image, of the lengths in the list ``runs`` (None: one run of every row);
-    attention sees only the rows of its own run."""
-    return mlp_sublayer(attention_sublayer(h, blk, runs), blk)
+def attention_sublayer(h, blk: BlockParams, runs=None):
+    """h + MHSA(LN1(h)) as one tape node; ``runs`` as in ``encoder_block``."""
+    inputs = (h, *_attention_tensors(blk))
+    out, back = _attention(h.data, blk, runs, _recording(inputs))
+    return _record(Tensor(out), inputs, back)
+
+
+def mlp_sublayer(h, blk: BlockParams):
+    """h + W2 GELU(LN2(h) W1 + b1) + b2 as one tape node."""
+    inputs = (h, *_mlp_tensors(blk))
+    out, back = _mlp(h.data, blk, _recording(inputs))
+    return _record(Tensor(out), inputs, back)
+
+
+def encoder_block(x, blk: BlockParams, runs=None, keep=False):
+    """The pre-norm block over the rows of the array x, in raw numpy.
+
+    x holds one run of rows per image, of the lengths in the list ``runs``
+    (None: one run of every row); attention sees only the rows of its own
+    run. Returns (output rows, backward). The backward is None unless
+    ``keep``; it maps the output's gradient to (dx, the gradients of
+    ``block_tensors(blk)``), None for a weight that requires none. Without
+    ``keep`` each sublayer drops what its backward would read on return.
+    """
+    h1, attention_back = _attention(x, blk, runs, keep)
+    out, mlp_back = _mlp(h1, blk, keep)
+    if not keep:
+        return out, None
+
+    def back(g):
+        dh1, *mlp_grads = mlp_back(g)
+        dx, *attention_grads = attention_back(dh1)
+        return (dx, *attention_grads, *mlp_grads)
+
+    return out, back
 
 
 def classify(h_cls, head: HeadParams):

@@ -19,17 +19,7 @@ from .backbone import (
 )
 from .errors import NumericError
 from .routing import RouterParams, init_router_params, run_recursion
-from .tensor import (
-    Tensor,
-    add,
-    cross_entropy,
-    gather_rows,
-    matmul,
-    mean,
-    mul,
-    softmax_rows,
-    split_heads,
-)
+from .tensor import Tensor, _mm, _record, add, cross_entropy, gather_rows, mul
 
 
 def _tensor_fields(prefix, params):
@@ -92,25 +82,42 @@ def forward(images, params: ModelParams, cfg):
     return [gather_rows(logits, [b]) for b in range(len(images))], traces
 
 
-def _routing_terms(batch, mode, kappa):
-    """(B, 1) routing terms of the images of one batch."""
-    if mode == "expert_choice":
-        # mean over steps of (mean gate - kappa)^2, each mean over the image's
-        # scored tokens; every image of a batch runs every step
-        total = None
-        for s in batch.step_scores:
-            gates = split_heads(s, 1, batch.images)                # (B, A, 1)
-            dev = add(mean(gates, axis=1), -kappa)
-            sq = mul(dev, dev)
-            total = sq if total is None else add(total, sq)
-        return mul(total, 1.0 / len(batch.step_scores))
-    # token_choice budget alignment: expected normalized depth should sit at kappa
-    logits = batch.depth_logits                                    # (B*N, R)
-    r = logits.shape[1]
-    levels = Tensor(np.arange(1, r + 1, dtype=np.float64).reshape(r, 1) / r)
-    exp_depth = mean(split_heads(matmul(softmax_rows(logits), levels), 1, batch.images), axis=1)
-    dev = add(exp_depth, -kappa)  # exp_depth is (B, 1), each in (0, 1]
-    return mul(dev, dev)
+def _gate_loss(step_scores, images, kappa):
+    """Expert-choice routing loss of a batch as one tape node: the mean over
+    images and steps of (mean gate - kappa)^2, each mean gate over the scores
+    an image's patches got at that step (every image of a batch runs every
+    step)."""
+    gates = [s.data.reshape(images, -1) for s in step_scores]    # (B, A_r) per step
+    dev = [x.sum(axis=1) / x.shape[1] - kappa for x in gates]    # (B,) per step
+    scale = 1.0 / (len(gates) * images)
+    loss = sum((d * d).sum() for d in dev) * scale
+
+    def back(g):
+        return tuple(np.repeat(d * (2.0 * scale * g / x.shape[1]), x.shape[1]).reshape(-1, 1)
+                     for d, x in zip(dev, gates))
+
+    return _record(Tensor(np.asarray(loss)), tuple(step_scores), back)
+
+
+def _depth_loss(logits, images, kappa):
+    """Token-choice routing loss of a batch as one tape node: the mean over
+    images of (expected normalized depth - kappa)^2, where a patch's expected
+    depth is its softmax over the R depth logits times the levels r / R."""
+    x = logits.data                                           # (B*N, R)
+    r = x.shape[1]
+    p = np.exp(x - x.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    levels = np.arange(1, r + 1, dtype=x.dtype) / r
+    depth = _mm(p, levels.reshape(r, 1)).reshape(images, -1)  # (B, N)
+    n = depth.shape[1]
+    dev = depth.sum(axis=1) / n - kappa                       # (B,), each in (0, 1] - kappa
+    loss = (dev * dev).sum() / images
+
+    def back(g):
+        ddepth = np.repeat(dev * (2.0 * g / (images * n)), n).reshape(-1, 1)
+        return (p * (levels - depth.reshape(-1, 1)) * ddepth,)
+
+    return _record(Tensor(np.asarray(loss)), (logits,), back)
 
 
 def routing_loss(traces, kappa):
@@ -128,7 +135,9 @@ def routing_loss(traces, kappa):
     mine = {id(t) for t in traces if t.batch is batch}
     if len(traces) != batch.images or len(mine) != len(traces):
         raise ValueError("routing_loss takes the traces of exactly one whole batch")
-    return mean(_routing_terms(batch, traces[0].mode, kappa))
+    if traces[0].mode == "expert_choice":
+        return _gate_loss(batch.step_scores, batch.images, kappa)
+    return _depth_loss(batch.depth_logits, batch.images, kappa)
 
 
 def total_loss(logits_list, labels, traces, cfg):

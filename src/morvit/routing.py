@@ -18,8 +18,12 @@ Three modes:
 
 The batch is one step-synchronous computation. Its hidden state is a
 (B*(N+1), D) row matrix in which image b owns rows [b*(N+1), (b+1)*(N+1)).
-Each step is one gather, one block call, one gated residual update and one
-scatter, in every mode. The rows that take part are packed image by image,
+An expert-choice step records two tape nodes, every other step one: the
+router score (``routing_score``: gather, product, bias and sigmoid) and the
+step itself (``_apply_block``), which gathers the taken rows, runs them
+through one raw ``encoder_block`` call, applies the gate and the residual in
+place and writes the rows into a copy of the hidden state, with a
+hand-written backward. The rows that take part are packed image by image,
 and the block gets each image's number of rows (its run) and attends within
 runs only. Under token-choice the images of a step take different numbers of
 rows, so they are packed in order of that number, and the block attends over
@@ -32,19 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
-from .backbone import encoder_block, trunc_normal
+from .backbone import block_tensors, encoder_block, trunc_normal
 from .errors import ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    concat_rows,
-    gather_rows,
-    matmul,
-    mul,
-    scatter_rows,
-    sigmoid,
-)
+from .tensor import Tensor, _mm, _record, _recording, add, gather_rows, matmul
+
+# The benchmark's tracer wraps ``routing.gather_rows`` and
+# ``routing.scatter_rows`` by these names (benchmark/run.py, LAYER_SPANS).
+# Since a step is one op nothing here scatters, but the name stays.
+from .tensor import scatter_rows  # noqa: F401
 
 
 @dataclass
@@ -122,9 +123,31 @@ class RoutingTrace:
         return self.exit_depth[1:].copy()
 
 
-def routing_score(h_rows, step: StepRouter):
-    """Sigmoid gate per row: sigmoid(h . w + b), shape (rows, 1)."""
-    return sigmoid(add(matmul(h_rows, step.w), step.b))
+def routing_score(h, rows, step: StepRouter):
+    """Gates sigmoid(h[rows] . w + b) of the given rows of h, shape (rows, 1).
+
+    One tape node for the gather, the router's product and bias and the
+    sigmoid; ``expit`` saturates to 0 or 1 where exp would overflow. The
+    backward scatters the rows' gradient back into h's gathered rows.
+    """
+    x = h.data[rows]
+    w = step.w.data
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"router of width {w.shape[0]} on rows of shape {x.shape}")
+    z = _mm(x, w)
+    z += step.b.data
+    y = expit(z, out=z)
+
+    def back(g):
+        dz = g * y * (1.0 - y)
+        dh = None
+        if h.requires_grad:
+            dh = np.zeros_like(h.data)
+            dh[rows] = dz @ w.T
+        return (dh, x.T @ dz if step.w.requires_grad else None,
+                dz.sum(axis=0) if step.b.requires_grad else None)
+
+    return _record(Tensor(y), (h, step.w, step.b), back)
 
 
 def select_active(scores, beta):
@@ -146,9 +169,10 @@ def select_active(scores, beta):
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     k = max(1, round((1.0 - beta) * scores.shape[-1]))
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
-    threshold = np.take_along_axis(scores, order[..., k - 1 :], axis=-1)[..., 0]
     kept = np.sort(order, axis=-1)
-    return (float(threshold), kept) if scores.ndim == 1 else (threshold, kept)
+    if scores.ndim == 1:
+        return float(scores[order[-1]]), kept
+    return scores[np.arange(scores.shape[0]), order[:, -1]], kept
 
 
 def token_choice_assign(z0, router: RouterParams, images=1):
@@ -170,15 +194,15 @@ def _expert_choice_take(h, active, step_router, beta, batch):
     """Score every active patch and keep each image's top K.
 
     Returns the (B, N+1) mask of the rows that take part, the gates as
-    (source tensor, map from each row of the batch to its source row) and
-    the number of patches each image scored. Row 0 of the source is the class
-    token's gate of 1, row 1 + j is the j-th score.
+    (scores tensor, each row of the batch's index into the scores, or -1
+    for an ungated row such as the class token) and the number of patches
+    each image scored.
     """
     images, tokens = active.shape
     live = active.copy()
     live[:, 0] = False
     rows = np.flatnonzero(live)                 # image-major, A per image
-    scores = routing_score(gather_rows(h, rows), step_router)  # (B*A, 1)
+    scores = routing_score(h, rows, step_router)  # (B*A, 1)
     batch.step_scores.append(scores)
     a = rows.size // images
     _, kept = select_active(scores.data.reshape(images, a), beta)
@@ -186,22 +210,23 @@ def _expert_choice_take(h, active, step_router, beta, batch):
     take = np.zeros(images * tokens, dtype=bool)
     take[::tokens] = True
     take[rows[pick]] = True
-    slot = np.zeros(images * tokens, dtype=np.intp)
-    slot[rows[pick]] = pick + 1
-    source = concat_rows([Tensor(np.ones((1, 1))), scores])
-    return take.reshape(images, tokens), (source, slot), a
+    slot = np.full(images * tokens, -1, dtype=np.intp)
+    slot[rows[pick]] = pick
+    return take.reshape(images, tokens), (scores, slot), a
 
 
 def _apply_block(h, block, take, counts, gates):
-    """Update every taken row as g * block(rows) + rows, in one block call.
+    """Update every taken row as g * block(rows) + rows, as one tape node.
 
     ``counts`` holds each image's number of taken rows. The taken rows are
     gathered image by image, the images ordered by their count (stably, so
-    equal counts keep image order), and go through the block as one run per
-    image: each image's rows attend only to each other, and the images of
-    equal count form one contiguous stretch. With one count the order is the
-    batch's own. ``gates`` is None for an ungated update, else as
-    ``_expert_choice_take`` returns it.
+    equal counts keep image order), and go through one ``encoder_block``
+    call as one run per image: each image's rows attend only to each other,
+    and the images of equal count form one contiguous stretch. With one
+    count the order is the batch's own. ``gates`` is None for an ungated
+    update, else as ``_expert_choice_take`` returns it. The gate and the
+    residual are applied in place and the rows written into a copy of h;
+    the block's backward state is kept only when the node is recorded.
     """
     runs = [m for m in counts if m]
     whole = sum(runs) == take.size  # every row of the batch, in order
@@ -210,13 +235,49 @@ def _apply_block(h, block, take, counts, gates):
         if runs.count(runs[0]) < len(runs):
             rows = rows[np.argsort(np.asarray(counts)[rows // take.shape[1]], kind="stable")]
             runs.sort()
-    part = h if whole else gather_rows(h, rows)
-    out = encoder_block(part, block, runs)
+    part = h.data if whole else h.data[rows]
+    inputs = (h, *block_tensors(block))
     if gates is not None:
-        source, slot = gates
-        out = mul(gather_rows(source, slot if whole else slot[rows]), out)
-    out = add(out, part)
-    return out if whole else scatter_rows(h, rows, out)
+        scores, slot = gates
+        inputs += (scores,)
+        slot = slot if whole else slot[rows]
+        gated = np.flatnonzero(slot >= 0)   # the taken rows that have a gate
+        slot = slot[gated]                  # and their gates' rows in scores
+        gate = np.ones((part.shape[0], 1), dtype=part.dtype)
+        gate[gated] = scores.data[slot]
+    keep = _recording(inputs)
+    y, block_back = encoder_block(part, block, runs, keep)
+    if gates is None:
+        new = y  # the backward reads no y when ungated
+    else:
+        new = y * gate if keep else np.multiply(y, gate, out=y)
+    new += part
+    if whole:
+        out = new
+    else:
+        out = h.data.copy()
+        out[rows] = new
+    if not keep:
+        return _record(Tensor(out), inputs, None)
+
+    def back(g):
+        g_rows = g if whole else g[rows]
+        dpart, *grads = block_back(g_rows if gates is None else g_rows * gate)
+        dpart += g_rows
+        if whole:
+            dh = dpart
+        else:
+            dh = g.copy()
+            dh[rows] = dpart
+        if gates is None:
+            return (dh, *grads)
+        dscores = None
+        if scores.requires_grad:
+            dscores = np.zeros_like(scores.data)
+            dscores[slot] = (g_rows[gated] * y[gated]).sum(axis=1, keepdims=True)
+        return (dh, *grads, dscores)
+
+    return _record(Tensor(out), inputs, back)
 
 
 def run_recursion(z0, blocks, router: RouterParams, cfg):
@@ -225,9 +286,9 @@ def run_recursion(z0, blocks, router: RouterParams, cfg):
     ``z0`` holds each image's N+1 rows in turn, as ``embed`` returns them.
     ``blocks`` holds one block when parameters are shared, else one per
     step. An image stops taking part once none of its patches is active.
-    Exited rows are carried through scatter copies, so they stay
-    bit-identical to the step they exited at. Returns the aggregated
-    (B*(N+1), D) hidden tensor and one trace per image.
+    Each step writes its rows into a copy of the hidden state, so exited
+    rows stay bit-identical to the step they exited at. Returns the
+    aggregated (B*(N+1), D) hidden tensor and one trace per image.
     """
     tokens = cfg.tokens
     images, extra = divmod(z0.shape[0], tokens)

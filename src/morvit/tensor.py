@@ -11,24 +11,38 @@ is a read-only result: it may be a view of the output's gradient, and the
 input adopts it without a copy. The replay adds in place only into arrays it
 allocated itself during this replay, and it releases each non-leaf gradient
 (``grad = None``) once its node has run, so after ``backward`` only leaves
-hold gradients, each in memory of its own. A backward function computes an
-input's gradient only when that input requires one, and returns None else.
+hold gradients, each in memory of its own. A backward function may return
+None for an input that requires no gradient, and the replay ignores any
+gradient it returns for such an input.
 
-The encoder block and the model's ends are not composed of these ops. The
-block's sublayers ``backbone.attention_sublayer`` and ``mlp_sublayer``, the
-patch embedding ``backbone.embed`` and the batch mean ``cross_entropy`` are
-fused ops: each computes in raw numpy, records one node through ``_record``
-and brings a hand-written backward under the same ownership rule. A block
-call records 2 nodes instead of the 26 of its composed form, the embedding 1
-instead of up to 6, and the loss of B images 1 instead of 2B. Every forward
-matrix product, fused or not, goes through ``_mm``, the one place
-``count_macs`` counts.
+The model's layers are not composed of these ops. Each of the following
+is a fused op: it computes in raw numpy, records one node through
+``_record`` and brings a hand-written backward under the same ownership
+rule.
 
-Attention heads, and the images of a batch, share a leading (S*H, M, .) stack
-axis; see ``split_heads``. ``matmul`` and ``softmax_rows`` also take such
-stacks. No source caller passes one since the block is fused, but the
+* ``backbone.embed``, the patch embedding (1 node instead of up to 6);
+* ``backbone.attention_sublayer`` and ``mlp_sublayer``, the block's two
+  sublayers, thin wrappers over the raw forward/backward pairs that
+  ``backbone.encoder_block`` chains;
+* ``routing.routing_score``, the gather, router product, bias and sigmoid
+  of one expert-choice step (1 node instead of 4);
+* ``routing._apply_block``, a whole recursion step: the gather of the taken
+  rows, the block, the gate, the residual and the write into a copy of the
+  hidden state (1 node instead of the block's 2 and 5 around them);
+* ``model.routing_loss``, the batch's routing loss (1 node instead of 26
+  for a four-step expert-choice batch);
+* ``cross_entropy``, the batch mean of the task loss (1 node instead of 2B).
+
+A fused op asks ``_recording`` before its forward whether a node will be
+recorded, and only then keeps what its backward reads; a forward without a
+tape keeps nothing past each sublayer. Every forward matrix product, fused
+or not, goes through ``_mm``, the one place ``count_macs`` counts.
+
+``matmul`` also takes a leading (S*H, M, .) stack axis, the layout of
+attention heads (see ``_split``). No source caller passes one, but the
 composed block that the fused one is tested against
-(``tests/oracles.py::composed_encoder_block``) runs on them.
+(``tests/oracles.py::composed_encoder_block``) runs on such stacks. The
+generic ops that only the tests use live in ``tests/oracles.py``.
 
 Tensors that appear on a tape are never mutated in place; the optimizer
 updates leaf parameters only between tapes.
@@ -209,6 +223,13 @@ def backward(loss):
     loss._tape.backward(loss)
 
 
+def _recording(inputs):
+    """Whether ``_record`` will put a node for these inputs on a tape: a tape
+    is active and an input requires grad. A fused op asks before its forward
+    and keeps what its backward reads only then."""
+    return _active_tape is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(out, inputs, backfn):
     for t in inputs:
         if t.requires_grad:
@@ -295,68 +316,6 @@ def _merge(x, segments):
     return x.reshape(segments * m, heads * dh)
 
 
-def split_heads(x, heads, segments=1):
-    """(S*M, D) rows -> (S*H, M, D/H) stack, for S segments of M rows each.
-
-    Stack entry s*H + i holds columns [i*D/H, (i+1)*D/H) of segment s's rows,
-    so attention over the stack never mixes rows of two segments.
-    """
-    x = _as_tensor(x)
-    if (x.ndim != 2 or heads < 1 or x.shape[1] % heads or segments < 1
-            or x.shape[0] % segments):
-        raise ShapeError(f"cannot split shape {x.shape} into {segments} x {heads} heads")
-    out = Tensor(_split(x.data, heads, segments))
-    return _record(out, (x,), lambda g: (_merge(g, segments),))
-
-
-def tsum(a, axis=None, keepdims=False):
-    """Sum over all elements (axis=None gives a scalar of shape ())."""
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _record(out, (a,), back)
-
-
-def mean(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def softmax_rows(x):
-    """Softmax over the last axis, stabilized by subtracting the row max."""
-    x = _as_tensor(x)
-    if x.ndim not in (2, 3) or x.shape[-1] < 1:
-        raise ShapeError(f"softmax_rows expects a non-empty matrix or stack, got {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def back(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _record(out, (x,), back)
-
-
-def sigmoid(x):
-    x = _as_tensor(x)
-    # Split by sign so exp never overflows.
-    pos = x.data >= 0
-    y = np.empty_like(x.data)
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
-    return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
-
-
 def _unique(idx, n):
     """Whether no index repeats, for indices in [0, n): O(n) marks, no sort."""
     seen = np.zeros(n, dtype=bool)
@@ -420,20 +379,6 @@ def scatter_rows(base, idx, rows):
         return dbase, g[idx]
 
     return _record(out, (base, rows), back)
-
-
-def concat_rows(parts):
-    parts = [_as_tensor(p) for p in parts]
-    widths = {p.shape[1] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows width mismatch: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def back(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-    return _record(out, tuple(parts), back)
 
 
 def cross_entropy(logits_list, labels):

@@ -7,9 +7,15 @@ replaced implementation as the oracle of its replacement: the plain replay
 composition of generic tape ops, one node per op and each run of rows
 composed alone (``layernorm``, ``gelu``,
 ``transpose`` and ``merge_heads`` live here only, as that block used them);
-``composed_embed``, the embedding as 4 to 6 generic ops; and
+``composed_embed``, the embedding as 4 to 6 generic ops;
 ``composed_task_loss``, the batch mean as a chain of per-image
-``row_cross_entropy`` nodes.
+``row_cross_entropy`` nodes; and the routing around the block as generic
+ops: ``composed_score``, ``composed_step`` and ``composed_routing_loss``.
+
+The generic ops that only these oracles and the tests use live here too
+(``split_heads``, ``tsum``, ``mean``, ``softmax_rows``, ``sigmoid`` and
+``concat_rows``), and ``block_op``, the raw ``encoder_block`` recorded as
+one tape node.
 """
 
 import math
@@ -17,7 +23,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from morvit.backbone import LN_EPS
+from morvit.backbone import LN_EPS, block_tensors, encoder_block
 from morvit.errors import ShapeError
 from morvit.tensor import (
     Tape,
@@ -25,20 +31,106 @@ from morvit.tensor import (
     _as_tensor,
     _merge,
     _record,
+    _recording,
     _split,
     add,
     backward,
-    concat_rows,
     gather_rows,
     matmul,
     mul,
-    softmax_rows,
-    split_heads,
+    scatter_rows,
 )
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+
+# ---------------------------------------------------------------- test-only ops
+
+def split_heads(x, heads, segments=1):
+    """(S*M, D) rows -> (S*H, M, D/H) stack, for S segments of M rows each.
+
+    Stack entry s*H + i holds columns [i*D/H, (i+1)*D/H) of segment s's rows,
+    so attention over the stack never mixes rows of two segments.
+    """
+    x = _as_tensor(x)
+    if (x.ndim != 2 or heads < 1 or x.shape[1] % heads or segments < 1
+            or x.shape[0] % segments):
+        raise ShapeError(f"cannot split shape {x.shape} into {segments} x {heads} heads")
+    out = Tensor(_split(x.data, heads, segments))
+    return _record(out, (x,), lambda g: (_merge(g, segments),))
+
+
+def tsum(a, axis=None, keepdims=False):
+    """Sum over all elements (axis=None gives a scalar of shape ())."""
+    a = _as_tensor(a)
+    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+
+    def back(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).copy(),)
+
+    return _record(out, (a,), back)
+
+
+def mean(a, axis=None, keepdims=False):
+    a = _as_tensor(a)
+    n = a.size if axis is None else a.shape[axis]
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def softmax_rows(x):
+    """Softmax over the last axis, stabilized by subtracting the row max."""
+    x = _as_tensor(x)
+    if x.ndim not in (2, 3) or x.shape[-1] < 1:
+        raise ShapeError(f"softmax_rows expects a non-empty matrix or stack, got {x.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
+
+    def back(g):
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+
+    return _record(out, (x,), back)
+
+
+def sigmoid(x):
+    x = _as_tensor(x)
+    # Split by sign so exp never overflows.
+    pos = x.data >= 0
+    y = np.empty_like(x.data)
+    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
+    ex = np.exp(x.data[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    out = Tensor(y)
+    return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
+
+
+def concat_rows(parts):
+    parts = [_as_tensor(p) for p in parts]
+    widths = {p.shape[1] for p in parts}
+    if len(widths) != 1:
+        raise ShapeError(f"concat_rows width mismatch: {[p.shape for p in parts]}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def back(g):
+        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+
+    return _record(out, tuple(parts), back)
+
+
+def block_op(h, blk, runs=None):
+    """``encoder_block`` on a tensor, recorded as one tape node."""
+    inputs = (h, *block_tensors(blk))
+    out, back = encoder_block(h.data, blk, runs, _recording(inputs))
+    return _record(Tensor(out), inputs, back)
+
+
+# ---------------------------------------------------------------- gradients
 
 def reference_backward(tape, loss):
     """The plain replay ``Tape.backward`` is checked against: every
@@ -311,3 +403,55 @@ def composed_task_loss(logits_list, labels):
     for l in losses[1:]:
         total = add(total, l)
     return mul(total, 1.0 / len(losses))
+
+
+# ---------------------------------------------------------------- composed routing
+
+def composed_score(h, rows, step):
+    """sigmoid(h[rows] . w + b) as a gather, a product, a bias add and the
+    sign-split sigmoid: four nodes."""
+    return sigmoid(add(matmul(gather_rows(h, rows), step.w), step.b))
+
+
+def composed_step(h, block, take, counts, gates):
+    """One recursion step as generic ops, in place of ``routing._apply_block``
+    (same arguments): gather the taken rows, ``composed_encoder_block``, the
+    gate as a gather from [1, scores] and a ``mul``, the residual ``add`` and
+    a ``scatter_rows`` into a copy of h."""
+    runs = [m for m in counts if m]
+    whole = sum(runs) == take.size
+    if not whole:
+        rows = np.flatnonzero(take)
+        if runs.count(runs[0]) < len(runs):
+            rows = rows[np.argsort(np.asarray(counts)[rows // take.shape[1]], kind="stable")]
+            runs.sort()
+    part = h if whole else gather_rows(h, rows)
+    out = composed_encoder_block(part, block, runs)
+    if gates is not None:
+        scores, slot = gates
+        source = concat_rows([Tensor(np.ones((1, 1))), scores])  # row 0: an ungated row's 1
+        out = mul(gather_rows(source, (slot if whole else slot[rows]) + 1), out)
+    out = add(out, part)
+    return out if whole else scatter_rows(h, rows, out)
+
+
+def composed_routing_loss(traces, kappa):
+    """``model.routing_loss`` as generic ops: per-image routing terms
+    through ``split_heads``, ``mean``, ``mul`` and ``add``, then their mean."""
+    batch, mode = traces[0].batch, traces[0].mode
+    if mode == "static":
+        return Tensor(np.asarray(0.0))
+    if mode == "expert_choice":
+        total = None
+        for s in batch.step_scores:
+            gates = split_heads(s, 1, batch.images)                # (B, A, 1)
+            dev = add(mean(gates, axis=1), -kappa)
+            sq = mul(dev, dev)
+            total = sq if total is None else add(total, sq)
+        return mean(mul(total, 1.0 / len(batch.step_scores)))
+    logits = batch.depth_logits                                    # (B*N, R)
+    r = logits.shape[1]
+    levels = Tensor(np.arange(1, r + 1, dtype=np.float64).reshape(r, 1) / r)
+    exp_depth = mean(split_heads(matmul(softmax_rows(logits), levels), 1, batch.images), axis=1)
+    dev = add(exp_depth, -kappa)
+    return mean(mul(dev, dev))

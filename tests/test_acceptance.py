@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from morvit.backbone import classify, encoder_block, embed, patchify
+from morvit.backbone import classify, embed, patchify
 from morvit.checkpoint import load_checkpoint, params_from_checkpoint, save_checkpoint
 from morvit.config import PRESETS
 from morvit.data import load_cifar10_binary, synth_holdout_set, synth_mixed_difficulty
@@ -32,6 +32,7 @@ from morvit.profiler import (
 from morvit.routing import run_recursion, select_active
 from morvit.tensor import Tape, add, backward, count_macs, gather_rows
 from morvit.train import evaluate, run_ablation, train
+from oracles import block_op
 from test_routing import record_steps, unit_gates
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -96,7 +97,7 @@ def test_a2_weight_tied_equivalence(monkeypatch):
 
     h = embed(patchify(rec.image, cfg.patch_size), params.embed)
     for _ in range(3):
-        h = add(h, encoder_block(h, params.blocks[0]))
+        h = add(h, block_op(h, params.blocks[0]))
     oracle = classify(gather_rows(h, [0]), params.head)
     diff = float(np.abs(logits.data - oracle.data).max())
     report("A2", diff < 1e-10, f"max |logit diff| {diff:.3e} vs backbone-only stack")

@@ -22,13 +22,15 @@ from morvit.backbone import (
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
 from morvit.model import forward, init_params
-from morvit.tensor import Tape, Tensor, backward, gather_rows, mul, tsum
+from morvit.tensor import Tape, Tensor, backward, gather_rows, mul
 from oracles import (
     attention_block_reference,
+    block_op,
     composed_embed,
     composed_encoder_block,
     grad_check,
     patchify_reference,
+    tsum,
 )
 
 
@@ -173,10 +175,10 @@ def test_embed_records_one_tape_node(images):
 def test_block_single_token_attention():
     cfg = tiny_cfg()
     blk = init_block_params(cfg, gen(6))
-    h = Tensor(gen(7).normal(size=(1, cfg.hidden)))
-    out = encoder_block(h, blk)
-    ref = attention_block_reference(h.data, blk)
-    assert np.abs(out.data - ref).max() < 1e-12
+    h = gen(7).normal(size=(1, cfg.hidden))
+    out, _ = encoder_block(h, blk)
+    ref = attention_block_reference(h, blk)
+    assert np.abs(out - ref).max() < 1e-12
 
 
 def test_block_zero_weights_is_identity():
@@ -185,18 +187,18 @@ def test_block_zero_weights_is_identity():
     for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
                  "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
         getattr(blk, name).data[:] = 0.0
-    h = Tensor(gen(9).normal(size=(4, cfg.hidden)))
-    out = encoder_block(h, blk)
-    assert np.array_equal(out.data, h.data)
+    h = gen(9).normal(size=(4, cfg.hidden))
+    out, _ = encoder_block(h, blk)
+    assert np.array_equal(out, h)
 
 
 def test_block_matches_brute_force_attention():
     cfg = PRESETS["tiny-desk"].replace(hidden=4, mlp_size=8, heads=2).validate()
     blk = init_block_params(cfg, gen(10))
-    h = Tensor(gen(11).normal(size=(3, 4)))
-    out = encoder_block(h, blk)
-    ref = attention_block_reference(h.data, blk)
-    assert np.abs(out.data - ref).max() < 1e-12
+    h = gen(11).normal(size=(3, 4))
+    out, _ = encoder_block(h, blk)
+    ref = attention_block_reference(h, blk)
+    assert np.abs(out - ref).max() < 1e-12
 
 
 def test_block_param_count_closed_form():
@@ -245,7 +247,7 @@ def test_fused_block_matches_composed_oracle(segments, rows, heads, seed):
     g = gen(seed + 2)
     h = Tensor(g.normal(size=(segments * rows, cfg.hidden)), requires_grad=True)
     weights = g.normal(size=h.shape)
-    out, grads = block_grads(encoder_block, h, blk, weights, [rows] * segments)
+    out, grads = block_grads(block_op, h, blk, weights, [rows] * segments)
     ref_out, ref_grads = block_grads(composed_encoder_block, h, blk, weights, [rows] * segments)
     assert np.abs(out - ref_out).max() < 1e-13
     for name, ours, ref in zip(["h"] + BLOCK_TENSORS, grads, ref_grads):
@@ -268,7 +270,7 @@ def test_fused_block_ragged_runs_match_composed_oracle(runs, heads, seed):
     g = gen(seed + 3)
     h = Tensor(g.normal(size=(sum(runs), cfg.hidden)), requires_grad=True)
     weights = g.normal(size=h.shape)
-    out, grads = block_grads(encoder_block, h, blk, weights, runs)
+    out, grads = block_grads(block_op, h, blk, weights, runs)
     ref_out, ref_grads = block_grads(composed_encoder_block, h, blk, weights, runs)
     assert np.abs(out - ref_out).max() < 1e-12 * max(1.0, np.abs(ref_out).max())
     assert len(grads) == 17
@@ -285,19 +287,36 @@ def test_fused_block_gradcheck_every_input():
     weights = Tensor(g.normal(size=h.shape))
     inputs = [h] + [getattr(blk, name) for name in BLOCK_TENSORS if name != "bk"]
     for runs in ([3, 3], [2, 1, 3]):
-        assert grad_check(lambda: tsum(mul(encoder_block(h, blk, runs), weights)), inputs) < 1e-6
+        assert grad_check(lambda: tsum(mul(block_op(h, blk, runs), weights)), inputs) < 1e-6
         # bk's gradient is exactly 0 in exact arithmetic: compare absolutely
-        assert grad_check(lambda: tsum(mul(encoder_block(h, blk, runs), weights)), [blk.bk],
+        assert grad_check(lambda: tsum(mul(block_op(h, blk, runs), weights)), [blk.bk],
                           floor=np.inf) < 1e-8
 
 
 def test_encoder_block_records_two_tape_nodes():
+    # the block as its two sublayer ops records one node each; the raw
+    # encoder_block records none, and computes the same rows
     cfg = tiny_cfg()
     blk = init_block_params(cfg, gen(24))
     h = Tensor(gen(25).normal(size=(6, cfg.hidden)), requires_grad=True)
     with Tape() as tape:
-        encoder_block(h, blk, [1, 2, 2, 1])
-    assert len(tape.nodes) == 2
+        out = mlp_sublayer(attention_sublayer(h, blk, [1, 2, 2, 1]), blk)
+        assert len(tape.nodes) == 2
+        raw, back = encoder_block(h.data, blk, [1, 2, 2, 1], keep=True)
+        assert len(tape.nodes) == 2
+    assert raw.tobytes() == out.data.tobytes()
+    assert len(back(np.ones_like(raw))) == 17
+
+
+def test_encoder_block_keeps_no_backward_without_keep():
+    cfg = tiny_cfg()
+    blk = perturbed_block(cfg, 27)
+    h = gen(28).normal(size=(6, cfg.hidden))
+    for runs in (None, [3, 3], [2, 1, 3]):
+        out, back = encoder_block(h, blk, runs)
+        kept, kept_back = encoder_block(h, blk, runs, keep=True)
+        assert back is None and callable(kept_back)
+        assert out.tobytes() == kept.tobytes()
 
 
 def test_sublayers_reject_bad_shapes():
@@ -345,7 +364,7 @@ def test_gradcheck_through_classify_and_block():
     params = [h, blk.wq, blk.w1, blk.ln1_g, head.w, head.b]
 
     def loss():
-        out = encoder_block(h, blk)
+        out = block_op(h, blk)
         return tsum(classify(gather_rows(out, [0]), head))
 
     # composition-level tolerance (single-op checks hold the tighter 1e-6)

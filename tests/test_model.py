@@ -1,11 +1,12 @@
 import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from morvit import routing
-from morvit.backbone import block_param_count, classify, encoder_block, embed, patchify
+from morvit import model, routing
+from morvit.backbone import block_param_count, classify, embed, patchify
 from morvit.config import PRESETS
 from morvit.data import synth_mixed_difficulty, synth_train_set
 from morvit.model import (
@@ -17,7 +18,14 @@ from morvit.model import (
 )
 from morvit.profiler import count_flops
 from morvit.tensor import Tape, Tensor, add, backward, count_macs, cross_entropy, gather_rows, mul
-from oracles import composed_encoder_block, grad_check, reference_backward
+from oracles import (
+    block_op,
+    composed_routing_loss,
+    composed_score,
+    composed_step,
+    grad_check,
+    reference_backward,
+)
 
 
 def gen(seed=0):
@@ -48,7 +56,7 @@ def test_forward_static_matches_weight_tied_oracle():
 
     h = embed(patchify(img, cfg.patch_size), params.embed)
     for _ in range(3):
-        h = add(h, encoder_block(h, params.blocks[0]))
+        h = add(h, block_op(h, params.blocks[0]))
     oracle = classify(gather_rows(h, [0]), params.head)
     assert np.abs(logits.data - oracle.data).max() < 1e-10
 
@@ -130,9 +138,9 @@ def test_each_step_is_one_block_call(mode, monkeypatch):
     calls = []
     block = routing.encoder_block
 
-    def counted(h, blk, runs=None):
+    def counted(x, blk, runs=None, keep=False):
         calls.append(runs)
-        return block(h, blk, runs)
+        return block(x, blk, runs, keep)
 
     monkeypatch.setattr(routing, "encoder_block", counted)
     _, traces = forward(images, params, cfg)
@@ -144,33 +152,78 @@ def test_each_step_is_one_block_call(mode, monkeypatch):
         assert any(len(set(runs)) > 1 for runs in calls)  # the batch is mixed
 
 
+def routed_batch(cfg, params, images, labels):
+    """Logits, traces, MACs of the forward and every gradient of total_loss."""
+    params.zero_grads()
+    with Tape():
+        with count_macs() as counter:
+            logits_list, traces = forward(images, params, cfg)
+        loss = total_loss(logits_list, labels, traces, cfg)
+    backward(loss)
+    grads = {n: t.grad for n, t in params.named().items()}
+    return [l.data for l in logits_list], traces, counter.macs, grads
+
+
+def assert_matches_oracle(ours, ref):
+    (logits, traces, macs, grads), (ref_logits, ref_traces, ref_macs, ref_grads) = ours, ref
+    for mine, theirs in zip(logits, ref_logits):
+        assert np.abs(mine - theirs).max() < 1e-12
+    for mine, theirs in zip(traces, ref_traces):
+        assert np.array_equal(mine.exit_depth, theirs.exit_depth)
+        assert mine.step_scored == theirs.step_scored
+        assert mine.step_attended == theirs.step_attended
+    assert macs == ref_macs
+    assert grads.keys() == ref_grads.keys()
+    for name, theirs in ref_grads.items():
+        assert (grads[name] is None) == (theirs is None), name
+        if theirs is not None:
+            assert np.abs(grads[name] - theirs).max() < 1e-12, name
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_fused_block_in_the_model_matches_composed_oracle(mode, monkeypatch):
+    # the fused step against gather, the composed block, gate mul, add, scatter
     cfg = PRESETS["desk-synth"].replace(routing_mode=mode, routing_lambda=0.5).validate()
     params = init_params(cfg)
     images, labels = mixed_batch(cfg, 18)
-    named = params.named()
+    ours = routed_batch(cfg, params, images, labels)
+    monkeypatch.setattr(routing, "_apply_block", composed_step)
+    assert_matches_oracle(ours, routed_batch(cfg, params, images, labels))
 
-    def run():
-        params.zero_grads()
-        with Tape():
-            logits_list, traces = forward(images, params, cfg)
-            loss = total_loss(logits_list, labels, traces, cfg)
-        backward(loss)
-        return ([l.data for l in logits_list], [t.exit_depth for t in traces],
-                {n: t.grad for n, t in named.items()})
 
-    logits, depths, grads = run()
-    monkeypatch.setattr(routing, "encoder_block", composed_encoder_block)
-    ref_logits, ref_depths, ref_grads = run()
-    for ours, ref in zip(logits, ref_logits):
-        assert np.abs(ours - ref).max() < 1e-12
-    for ours, ref in zip(depths, ref_depths):
-        assert np.array_equal(ours, ref)
-    for name, ref in ref_grads.items():
-        assert (grads[name] is None) == (ref is None), name
-        if ref is not None:
-            assert np.abs(grads[name] - ref).max() < 1e-12, name
+@pytest.mark.parametrize("mode", MODES)
+def test_fused_routing_matches_composed_oracle(mode, monkeypatch):
+    # the fused score, step and routing loss together against the composed
+    # routing, over mixed batches of every depth mix
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode, routing_lambda=0.5).validate()
+    params = init_params(cfg)
+    for seed in (30, 31):
+        images, labels = mixed_batch(cfg, seed)
+        ours = routed_batch(cfg, params, images, labels)
+        with monkeypatch.context() as patched:
+            patched.setattr(routing, "routing_score", composed_score)
+            patched.setattr(routing, "_apply_block", composed_step)
+            patched.setattr(model, "routing_loss", composed_routing_loss)
+            ref = routed_batch(cfg, params, images, labels)
+        assert_matches_oracle(ours, ref)
+
+
+def test_inference_keeps_no_backward_state():
+    # one no-tape desk-bench forward of 8 images, static routing with four
+    # blocks; 6.92 MB before the step was one op, 11.0 MB when the block
+    # kept its backward closures through a forward without a tape
+    cfg = PRESETS["desk-bench"].replace(routing_mode="static", share_params=False).validate()
+    recs, _ = synth_mixed_difficulty(8, 3, cfg)
+    images = [r.image for r in recs]
+    params = init_params(cfg)
+    forward(images, params, cfg)
+    tracemalloc.start()
+    try:
+        forward(images, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 6.92 * 2**20
 
 
 # ---------------------------------------------------------------- losses
@@ -334,13 +387,14 @@ def test_total_loss_gradients_match_reference_replay_bytewise(preset, over):
 
 
 @pytest.mark.parametrize("mode,share,nodes", [
-    ("expert_choice", True, {8: 89, 1: 82}),
-    ("token_choice", True, {8: 45, 1: 36}),
-    ("static", False, {8: 25, 1: 18}),
+    ("expert_choice", True, {8: 24, 1: 17}),
+    ("token_choice", True, {8: 23, 1: 16}),
+    ("static", False, {8: 17, 1: 10}),
 ], ids=["expert_choice", "token_choice", "static_unshared"])
 def test_training_step_tape_nodes_are_pinned(mode, share, nodes):
-    # embed, each block sublayer and the batch's cross-entropy are one node
-    # each; a change to these counts is a change to the graph's design
+    # embed, each router score, each recursion step, the batch's
+    # cross-entropy and its routing loss are one node each; a change to
+    # these counts is a change to the graph's design
     cfg = PRESETS["desk-synth"].replace(routing_mode=mode, share_params=share).validate()
     params = init_params(cfg)
     recs = synth_train_set(cfg)[0][:8]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morvit.routing as routing
-from morvit.backbone import encoder_block, patchify, embed
+from morvit.backbone import patchify, embed
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
 from morvit.model import forward, init_params, total_loss
@@ -15,7 +15,8 @@ from morvit.routing import (
     select_active,
     token_choice_assign,
 )
-from morvit.tensor import Tape, Tensor, add, backward, gather_rows
+from morvit.tensor import Tape, Tensor, add, backward, mul
+from oracles import block_op, composed_score, grad_check, tsum
 
 
 def gen(seed=0):
@@ -35,7 +36,7 @@ def random_z0(cfg, seed=0):
 def unit_gates(monkeypatch):
     """Make every router score 1, so every kept token's gate is 1."""
     monkeypatch.setattr(routing, "routing_score",
-                        lambda rows, step: Tensor(np.ones((rows.shape[0], 1))))
+                        lambda h, rows, step: Tensor(np.ones((rows.size, 1))))
 
 
 def record_kept(monkeypatch):
@@ -71,14 +72,49 @@ def record_steps(monkeypatch):
 def test_score_zero_router_is_half():
     step = StepRouter(w=Tensor(np.zeros((8, 1))), b=Tensor(np.zeros(1)))
     h = Tensor(gen(1).normal(size=(5, 8)))
-    out = routing_score(h, step)
+    out = routing_score(h, np.arange(5), step)
     assert np.array_equal(out.data, np.full((5, 1), 0.5))
 
 
 def test_score_saturated_bias():
     step = StepRouter(w=Tensor(np.zeros((8, 1))), b=Tensor(np.array([-50.0])))
-    out = routing_score(Tensor(gen(2).normal(size=(3, 8))), step)
+    out = routing_score(Tensor(gen(2).normal(size=(3, 8))), np.arange(3), step)
     assert np.all(out.data < 1e-20)
+
+
+def test_score_saturates_without_overflow():
+    step = StepRouter(w=Tensor(np.zeros((8, 1))), b=Tensor(np.zeros(1)))
+    h = Tensor(np.zeros((2, 8)))
+    with np.errstate(all="raise"):
+        for bias, gate in ((-1000.0, 0.0), (1000.0, 1.0)):
+            step.b.data[:] = bias
+            assert np.array_equal(routing_score(h, np.arange(2), step).data, [[gate], [gate]])
+
+
+def test_score_scores_only_the_given_rows_and_matches_composed_oracle():
+    g = gen(4)
+    h = Tensor(g.normal(size=(7, 8)), requires_grad=True)
+    step = StepRouter(w=Tensor(g.normal(size=(8, 1)), requires_grad=True),
+                      b=Tensor(g.normal(size=(1,)), requires_grad=True))
+    rows = np.array([1, 2, 4, 6])
+    weights = Tensor(g.normal(size=(4, 1)))
+    with Tape() as tape:
+        loss = tsum(mul(routing_score(h, rows, step), weights))
+        assert len(tape.nodes) == 3  # the score, then mul and tsum
+    backward(loss)
+    ours = [t.grad for t in (h, step.w, step.b)]
+    assert not ours[0][[0, 3, 5]].any()  # rows not scored get no gradient
+    for t in (h, step.w, step.b):
+        t.grad = None
+    with Tape():
+        ref_out = composed_score(h, rows, step)
+        loss = tsum(mul(ref_out, weights))
+    backward(loss)
+    assert np.abs(routing_score(h, rows, step).data - ref_out.data).max() < 1e-15
+    for mine, t in zip(ours, (h, step.w, step.b)):
+        assert np.abs(mine - t.grad).max() < 1e-15
+    assert grad_check(lambda: tsum(mul(routing_score(h, rows, step), weights)),
+                      [h, step.w, step.b]) < 1e-6
 
 
 def test_score_matches_dot_product_oracle():
@@ -87,7 +123,7 @@ def test_score_matches_dot_product_oracle():
     b = g.normal(size=(1,))
     h = g.normal(size=(6, 8))
     step = StepRouter(w=Tensor(w), b=Tensor(b))
-    out = routing_score(Tensor(h), step)
+    out = routing_score(Tensor(h), np.arange(6), step)
     for i in range(6):
         z = sum(h[i, j] * w[j, 0] for j in range(8)) + b[0]
         assert abs(out.data[i, 0] - 1.0 / (1.0 + np.exp(-z))) < 1e-12
@@ -169,7 +205,7 @@ def test_step_unit_gates_match_block_composition(monkeypatch):
     z0, params = random_z0(cfg, seed=6)
     unit_gates(monkeypatch)
     hidden, _ = run_recursion(z0, params.blocks, params.router, cfg)
-    oracle = add(z0, encoder_block(z0, params.blocks[0]))
+    oracle = add(z0, block_op(z0, params.blocks[0]))
     assert np.abs(hidden.data - oracle.data).max() == 0.0
 
 
@@ -209,7 +245,7 @@ def test_run_weight_tied_oracle(monkeypatch):
     hidden, _ = run_recursion(z0, params.blocks, params.router, cfg)
     h = z0
     for _ in range(3):
-        h = add(h, encoder_block(h, params.blocks[0]))
+        h = add(h, block_op(h, params.blocks[0]))
     assert np.abs(hidden.data - h.data).max() < 1e-10
 
 
@@ -355,9 +391,9 @@ def test_token_choice_batch_groups_by_participant_count(monkeypatch):
     calls = []
     block = routing.encoder_block
 
-    def counted(h, blk, runs=None):
-        calls.append((h.shape[0], runs))
-        return block(h, blk, runs)
+    def counted(x, blk, runs=None, keep=False):
+        calls.append((x.shape[0], runs))
+        return block(x, blk, runs, keep)
 
     monkeypatch.setattr(routing, "encoder_block", counted)
     hidden, traces = run_recursion(Tensor(np.concatenate(z0s)), params.blocks, params.router, cfg)

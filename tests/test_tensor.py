@@ -9,28 +9,28 @@ from morvit.tensor import (
     Tensor,
     add,
     backward,
-    concat_rows,
     count_macs,
     cross_entropy,
     gather_rows,
     matmul,
-    mean,
     mul,
     scatter_rows,
-    sigmoid,
-    softmax_rows,
-    split_heads,
-    tsum,
 )
 from oracles import (
     composed_task_loss,
+    concat_rows,
     fd_gradient,
     gelu,
     grad_check,
     layernorm,
     max_rel_err,
+    mean,
     merge_heads,
+    sigmoid,
+    softmax_rows,
+    split_heads,
     transpose,
+    tsum,
 )
 
 
