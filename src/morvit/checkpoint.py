@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes         b"MORV"
-    u32     format version  (currently 1)
+    u32     format version  (currently 2; version 1 files still load)
     u64     config length, then that many bytes of UTF-8 config text
     u32     tensor count, then per tensor:
               u32 name length | name UTF-8 | u8 dtype tag (0=f64, 1=f32)
@@ -15,13 +15,21 @@ Layout (all integers little-endian):
     u8      rng present? if 1: 13 x u64
               (Philox counter[4], key[2], buffer[4], buffer_pos,
                has_uint32, uinteger)
+    u32     zlib.crc32 of every byte before it (version 2 only)
+
+The CRC is checked before anything past the version is parsed, so a flipped
+bit anywhere in a version 2 file is a ``DataError``, not a wrong tensor, a
+config error or a decode error. Version 1 has no CRC; its corruption is
+caught only where it breaks the layout.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +40,7 @@ from .optim import OptimizerState
 from .tensor import Tensor
 
 MAGIC = b"MORV"
-VERSION = 1
+VERSION = 2
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _TAGS = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
@@ -63,10 +71,11 @@ class _Reader:
     def __init__(self, raw, path):
         self.raw = raw
         self.off = 0
+        self.end = len(raw)     # bytes past it (a CRC trailer) are not content
         self.path = path
 
     def take(self, n):
-        if self.off + n > len(self.raw):
+        if self.off + n > self.end:
             raise DataError(f"{self.path}: truncated checkpoint")
         out = self.raw[self.off : self.off + n]
         self.off += n
@@ -75,20 +84,29 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n, what):
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path}: {what} is not UTF-8: {exc}")
+
 
 def _read_tensor_table(rd):
     (count,) = rd.unpack("<I")
     table = {}
     for _ in range(count):
         (nlen,) = rd.unpack("<I")
-        name = rd.take(nlen).decode("utf-8")
+        name = rd.text(nlen, "tensor name")
         tag, rank = rd.unpack("<BB")
         if tag not in _DTYPES:
             raise DataError(f"{rd.path}: unknown dtype tag {tag}")
         dims = rd.unpack(f"<{rank}Q") if rank else ()
         dtype = _DTYPES[tag]
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        arr = np.frombuffer(rd.take(n * dtype.itemsize), dtype=dtype).reshape(dims).copy()
+        payload = rd.take(math.prod(dims) * dtype.itemsize)  # Python ints cannot wrap
+        try:
+            arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # more dims than numpy allows, or one too large
+            raise DataError(f"{rd.path}: tensor {name!r} has bad dims {dims}: {exc}")
         table[name] = arr
     return table
 
@@ -146,10 +164,12 @@ def save_checkpoint(path, cfg, named_tensors, optimizer=None, rng_state=None):
     else:
         buf.append(b"\x01")
         buf.append(pack_rng_state(rng_state))
+    body = b"".join(buf)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(buf))
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -169,10 +189,16 @@ def load_checkpoint(path) -> Checkpoint:
     if rd.take(4) != MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     (version,) = rd.unpack("<I")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
+    if version >= 2:
+        rd.end -= 4
+        if rd.end < rd.off:
+            raise DataError(f"{path}: truncated checkpoint")
+        if zlib.crc32(memoryview(raw)[: rd.end]) != struct.unpack_from("<I", raw, rd.end)[0]:
+            raise DataError(f"{path}: checksum mismatch, the checkpoint is corrupt")
     (cfg_len,) = rd.unpack("<Q")
-    cfg = parse_config(rd.take(cfg_len).decode("utf-8"))
+    cfg = parse_config(rd.text(cfg_len, "config"))
     tensors = _read_tensor_table(rd)
     optimizer = None
     (has_opt,) = rd.unpack("<B")
@@ -185,8 +211,8 @@ def load_checkpoint(path) -> Checkpoint:
     (has_rng,) = rd.unpack("<B")
     if has_rng:
         rng_state = unpack_rng_state(rd.take(13 * 8))
-    if rd.off != len(raw):
-        raise DataError(f"{path}: {len(raw) - rd.off} trailing bytes")
+    if rd.off != rd.end:
+        raise DataError(f"{path}: {rd.end - rd.off} trailing bytes")
     return Checkpoint(version=version, config=cfg, tensors=tensors,
                       optimizer=optimizer, rng_state=rng_state)
 

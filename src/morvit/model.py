@@ -75,8 +75,7 @@ def forward(images, params: ModelParams, cfg):
     """
     if not images:
         return [], []
-    patches = Tensor(np.concatenate([patchify(img, cfg.patch_size).data for img in images]))
-    z0 = embed(patches, params.embed)
+    z0 = embed(patchify(images, cfg.patch_size), params.embed)
     hidden, traces = run_recursion(z0, params.blocks, params.router, cfg)
     logits = classify(gather_rows(hidden, np.arange(len(images)) * cfg.tokens), params.head)
     return [gather_rows(logits, [b]) for b in range(len(images))], traces

@@ -65,6 +65,12 @@ def test_patchify_indivisible():
         patchify(np.zeros((10, 10, 3)), 4)
 
 
+def test_patchify_list_stacks_each_image_in_order():
+    images = [gen(s).random((8, 12, 3)) for s in range(3)]
+    out = patchify(images, 4)
+    assert np.array_equal(out.data, np.concatenate([patchify_reference(im, 4) for im in images]))
+
+
 # ---------------------------------------------------------------- embed
 
 def tiny_cfg():

@@ -7,6 +7,7 @@ A static check names every program attribute the benchmark reaches."""
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 from morvit.config import PRESETS
+from morvit.train import eval_chunk
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,8 +60,10 @@ def test_benchmark_run_is_correct(workload, trace):
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
     if trace:
-        # one block call per recursion step of a batch, whatever the images'
-        # mix of depths (tc-synth runs the desk-synth preset)
+        # one block call per recursion step of an evaluation chunk, whatever
+        # the images' mix of depths (tc-synth runs the desk-synth preset and
+        # infers over its holdout set)
         cfg = PRESETS["desk-synth"]
+        chunks = math.ceil(cfg.synth_holdout / eval_chunk(cfg))
         calls = result["metrics"]["backbone.encoder_block_calls_per_img"]["value"]
-        assert 0 < calls <= cfg.max_recursion / cfg.batch_size
+        assert 0 < calls <= cfg.max_recursion * chunks / cfg.synth_holdout

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_roundtrip_bit_exact(tmp_path):
     save_checkpoint(path, c, named, optimizer=opt, rng_state=rng_state)
     ck = load_checkpoint(path)
 
-    assert ck.version == 1
+    assert ck.version == 2
     assert serialize_config(ck.config) == serialize_config(c)
     for name, t in named.items():
         assert ck.tensors[name].tobytes() == t.data.tobytes()
@@ -122,6 +123,71 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def as_v1(raw):
+    """Format v1 bytes of a v2 checkpoint: the same layout, no CRC trailer."""
+    return raw[:4] + struct.pack("<I", 1) + raw[8:-4]
+
+
+def test_v1_checkpoint_still_loads(tmp_path):
+    c = cfg()
+    named = init_params(c).named()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, c, named, rng_state=np.random.Generator(np.random.Philox(3))
+                    .bit_generator.state)
+    v2 = load_checkpoint(path)
+    path.write_bytes(as_v1(path.read_bytes()))
+    v1 = load_checkpoint(path)
+    assert (v1.version, v2.version) == (1, 2)
+    assert serialize_config(v1.config) == serialize_config(v2.config)
+    assert {n: a.tobytes() for n, a in v1.tensors.items()} == \
+        {n: a.tobytes() for n, a in v2.tensors.items()}
+    assert pack_rng_state(v1.rng_state) == pack_rng_state(v2.rng_state)
+
+
+def _flipped(raw, bit):
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def test_v2_bit_flips_raise_data_error(tmp_path):
+    # every bit of the header, the config text and the tensor names, plus a
+    # sample of the rest; format v1 loaded most payload flips silently, and a
+    # flip in a name raised UnicodeDecodeError
+    c = cfg()
+    named = init_params(c).named()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, c, named, optimizer=init_optimizer(named, lr=c.lr),
+                    rng_state=np.random.Generator(np.random.Philox(0)).bit_generator.state)
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<Q", raw, 8)
+    bits = set(range(8 * (16 + cfg_len)))
+    for name in named:
+        nb = name.encode("utf-8")
+        at = raw.index(struct.pack("<I", len(nb)) + nb) + 4
+        bits.update(range(8 * at, 8 * (at + len(nb))))
+    bits.update(np.random.default_rng(0).integers(0, 8 * len(raw), 400).tolist())
+    bad = tmp_path / "bad.ckpt"
+    for bit in sorted(bits):
+        bad.write_bytes(_flipped(raw, bit))
+        with pytest.raises(DataError):
+            load_checkpoint(bad)
+
+
+def test_v1_corrupt_name_and_dims_raise_data_error(tmp_path):
+    c = cfg()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, c, {"w": Tensor(np.zeros((0, 3)))})
+    raw = as_v1(path.read_bytes())
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw.replace(b"\x01\x00\x00\x00w", b"\x01\x00\x00\x00\xff"))
+    with pytest.raises(DataError, match="tensor name is not UTF-8"):
+        load_checkpoint(bad)
+    bad.write_bytes(raw.replace(struct.pack("<2Q", 0, 3), struct.pack("<2Q", 0, 2**63)))
+    with pytest.raises(DataError, match="bad dims"):
+        load_checkpoint(bad)
 
 
 class _HalfWriter:

@@ -11,6 +11,7 @@ from morvit.checkpoint import load_checkpoint, save_checkpoint
 from morvit.cli import build_parser, main
 from morvit.config import PRESETS, serialize_config
 from morvit.model import init_params
+from test_checkpoint import as_v1
 from test_data import cifar_bytes
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -106,6 +107,20 @@ def test_eval_missing_data_file_is_exit_2(tmp_path, micro_config_file, capsys):
     code, out, err = run_cli(["eval", "--ckpt", ckpt, "--data", "/no/such.bin"], capsys)
     assert code == 2
     assert "/no/such.bin" in err
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_eval_corrupt_checkpoint_is_exit_2(tmp_path, capsys, version):
+    # a flipped bit in a tensor name: v2 fails its CRC, v1 the name's decode
+    cfg = micro_cfg()
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(str(ckpt), cfg, init_params(cfg).named())
+    raw = ckpt.read_bytes() if version == 2 else as_v1(ckpt.read_bytes())
+    at = raw.index(b"embed.w_e")
+    ckpt.write_bytes(raw[:at] + bytes([raw[at] ^ 0x80]) + raw[at + 1:])
+    code, out, err = run_cli(["eval", "--ckpt", str(ckpt), "--data", "synth-holdout"], capsys)
+    assert code == 2
+    assert err.startswith("morvit: error:") and "Traceback" not in err
 
 
 def test_train_bad_label_after_first_record_is_exit_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from morvit import model, routing
 from morvit.backbone import block_param_count, classify, embed, patchify
 from morvit.config import PRESETS
 from morvit.data import synth_mixed_difficulty, synth_train_set
+from morvit.errors import ShapeError
 from morvit.model import (
     forward,
     init_params,
@@ -68,6 +69,13 @@ def test_forward_identical_images_identical_outputs():
     logits_list, traces = forward([img, img.copy()], params, cfg)
     assert logits_list[0].data.tobytes() == logits_list[1].data.tobytes()
     assert np.array_equal(traces[0].exit_depth, traces[1].exit_depth)
+
+
+def test_forward_images_of_different_shapes_raise_shape_error():
+    cfg = PRESETS["desk-synth"]
+    params = init_params(cfg)
+    with pytest.raises(ShapeError, match=r"\(8, 8, 3\), \(16, 16, 3\)"):
+        forward([np.zeros((16, 16, 3)), np.zeros((8, 8, 3))], params, cfg)
 
 
 def test_forward_deterministic_across_runs():

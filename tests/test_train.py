@@ -1,13 +1,18 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import morvit.train as train_mod
 from morvit.checkpoint import load_checkpoint
 from morvit.config import PRESETS
 from morvit.data import DatasetRecord, synth_mixed_difficulty
 from morvit.errors import ConfigError, DataError
-from morvit.model import init_params
-from morvit.tensor import Tape
+from morvit.model import forward, init_params, total_loss
+from morvit.tensor import Tape, backward
 from morvit.train import (
+    eval_chunk,
     evaluate,
     evaluate_checkpoint,
     format_ablation_table,
@@ -187,9 +192,8 @@ def test_final_epoch_log_matches_eval_on_train_set(tmp_path):
 
 
 def test_loops_run_each_chunk_through_forward_sample(tmp_path, monkeypatch):
-    # a wrapper of train.forward_sample sees every minibatch and eval chunk
-    import morvit.train as train_mod
-
+    # a wrapper of train.forward_sample sees every minibatch and eval chunk;
+    # tiny-desk's eval chunk is 409 images, so 20 records are one chunk
     sizes = []
     inner = train_mod.forward_sample
 
@@ -201,10 +205,79 @@ def test_loops_run_each_chunk_through_forward_sample(tmp_path, monkeypatch):
     cfg = micro_cfg(epochs=1)
     records = micro_data(cfg)[:20]
     evaluate(init_params(cfg), records, cfg)
-    assert sizes == [8, 8, 4]
+    assert sizes == [20]
     sizes.clear()
     train(cfg, records, str(tmp_path / "m.ckpt"))
-    assert sizes == [8, 8, 4] * 2  # the minibatches, then the epoch's evaluation
+    assert sizes == [8, 8, 4, 20]  # the minibatches, then the epoch's evaluation
+
+
+def test_eval_chunk_follows_the_working_set():
+    assert eval_chunk(PRESETS["desk-synth"]) == 30
+    assert eval_chunk(PRESETS["desk-bench"]) == PRESETS["desk-bench"].batch_size == 8
+    assert eval_chunk(PRESETS["desk-synth"].replace(batch_size=64)) == 64
+
+
+@pytest.mark.parametrize("mode", ("expert_choice", "token_choice", "static"))
+def test_evaluation_is_chunk_invariant(monkeypatch, mode):
+    # chunks of 8 (the minibatch) and of 30 (eval_chunk) give the same bytes;
+    # every chunk holds two images or more, since a 1-image forward differs
+    # from a batched one at the ulp level
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode).validate()
+    records = synth_mixed_difficulty(64, 5, cfg)[0]
+    params = init_params(cfg)
+    inner = train_mod.forward_sample
+
+    def run(chunk):
+        logits = []
+
+        def keeping(images, params, cfg):
+            out = inner(images, params, cfg)
+            logits.extend(t.data for t in out[0])
+            return out
+
+        monkeypatch.setattr(train_mod, "forward_sample", keeping)
+        monkeypatch.setattr(train_mod, "eval_chunk", lambda cfg: chunk)
+        ev = evaluate(params, records, cfg)
+        return (np.concatenate(logits).tobytes(), ev.predictions,
+                np.stack([t.exit_depth for t in ev.traces]).tobytes(), ev.accuracy,
+                ev.mean_exit_depth, ev.per_class_accuracy)
+
+    assert run(cfg.batch_size) == run(eval_chunk(cfg))
+
+
+def _peak(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("preset,overrides", [
+    ("desk-synth", {"routing_mode": "token_choice"}),
+    ("desk-synth", {}),
+    ("desk-bench", {}),
+    ("desk-bench", {"routing_mode": "static", "share_params": False}),
+])
+def test_eval_chunk_forward_peaks_below_a_training_step(preset, overrides):
+    cfg = PRESETS[preset].replace(**overrides).validate()
+    recs = synth_mixed_difficulty(eval_chunk(cfg), 3, cfg)[0]
+    images = [r.image for r in recs]
+    params = init_params(cfg)
+
+    def step():
+        params.zero_grads()
+        batch = recs[:cfg.batch_size]
+        with Tape():
+            logits, traces = forward([r.image for r in batch], params, cfg)
+            loss = total_loss(logits, [r.label for r in batch], traces, cfg)
+        backward(loss)
+
+    forward(images, params, cfg)
+    step()
+    assert _peak(lambda: forward(images, params, cfg)) <= _peak(step)
 
 
 # ---------------------------------------------------------------- ablation
