@@ -30,17 +30,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(low):
+def _bounded_int(low, high=None):
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value is None or value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
         return value
 
     return parse
+
+
+# ``profile --bench`` runs all --batch images through one forward, so the
+# batch sets the forward's memory; the cap keeps that bounded.
+MAX_BENCH_BATCH = 256
 
 
 def build_parser():
@@ -77,9 +83,10 @@ def build_parser():
                         help="sweep beta over {0, 0.25, 0.5, 0.75, 0.9}")
     p_prof.add_argument("--bench", action="store_true",
                         help="also measure images/second")
-    p_prof.add_argument("--batch", type=_int_at_least(1), default=16,
-                        help="benchmark batch size")
-    p_prof.add_argument("--repeats", type=_int_at_least(3), default=5,
+    p_prof.add_argument("--batch", type=_bounded_int(1, MAX_BENCH_BATCH), default=16,
+                        help=f"benchmark batch size, at most {MAX_BENCH_BATCH}: the batch "
+                             "runs as one forward, so memory grows with it")
+    p_prof.add_argument("--repeats", type=_bounded_int(3), default=5,
                         help="benchmark timing repeats (>= 3)")
 
     p_dm = commands.add_parser("depthmap", help="export a per-patch exit-depth map",
@@ -239,11 +246,28 @@ def _cmd_depthmap(args):
     return 0
 
 
+def _check_writable(path):
+    """Raise DataError unless ``path`` could be written as a file; it is
+    neither created nor truncated."""
+    from .errors import DataError
+
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise DataError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise DataError(f"cannot write {path}: permission denied")
+
+
 def _cmd_ablate(args):
     from .config import resolve_config
     from .errors import DataError
     from .train import format_ablation_table, run_ablation
 
+    # the table is written after four trainings; a bad path fails now
+    _check_writable(args.out)
     cfg = resolve_config(args.config)
     records = _load_records(args.data, cfg)
     if args.data == "synth":

@@ -8,6 +8,7 @@ errors. ``parse_config(serialize_config(c)) == c`` holds bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -65,6 +66,8 @@ class RunConfig:
         if not 0.0 <= self.synth_hard_fraction <= 1.0:
             raise ConfigError(
                 f"synth_hard_fraction must be in [0, 1], got {self.synth_hard_fraction}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.routing_lambda < 0.0:
             raise ConfigError("routing_lambda must be nonnegative")
         if self.routing_mode not in ROUTING_MODES:
@@ -150,6 +153,8 @@ def load_config(path: str) -> RunConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}")
 
 
 # Named presets. vit-b16 / mor-b16 are the full-scale geometries (used for

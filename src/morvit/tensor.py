@@ -2,9 +2,11 @@
 
 Values live in contiguous row-major numpy arrays, float64 unless a float32
 array is passed in. Differentiable ops record a node on the currently active
-``Tape``; ``backward`` replays the nodes in reverse order, accumulating into
-``Tensor.grad``, and then drops them. Accumulation order is fixed by the
-recording order, so two identical runs produce bit-identical gradients.
+``Tape``; ``backward`` takes the nodes off the tape and replays them in
+reverse order, accumulating into ``Tensor.grad`` and releasing each node,
+with the arrays its backward saved, as soon as it has run. Accumulation
+order is fixed by the recording order, so two identical runs produce
+bit-identical gradients.
 
 Gradients follow one ownership rule. A gradient a backward function returns
 is a read-only result: it may be a view of the output's gradient, and the
@@ -191,8 +193,16 @@ class Tape:
         # allocates the sum, and only such an array (``owned``) takes later
         # ones in place. The sums are a zero-filled accumulator's bit for
         # bit, up to the sign of an exact zero.
+        # The nodes leave the tape first (every output points back at it, so
+        # holding them would keep the graph alive until the cyclic GC ran),
+        # and each is popped as it runs: its closure and the arrays it saved
+        # are freed as the replay passes it. A freed tensor's id can go only
+        # to an object made later, and the replay makes no Tensor, so an id
+        # in ``owned`` still names its input.
+        nodes, self.nodes = self.nodes, []
         owned = set()
-        for node in reversed(self.nodes):
+        while nodes:
+            node = nodes.pop()
             out = node.output
             gout = out.grad
             if gout is None:
@@ -211,9 +221,6 @@ class Tape:
                     owned.add(id(inp))
             # nothing reads a non-leaf gradient once its node has run
             out.grad = None
-        # Every output points back at this tape, so holding the nodes would
-        # keep the whole graph alive until the cyclic GC ran.
-        self.nodes = []
 
 
 def backward(loss):

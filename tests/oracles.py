@@ -10,7 +10,9 @@ composed alone (``layernorm``, ``gelu``,
 ``composed_embed``, the embedding as 4 to 6 generic ops;
 ``composed_task_loss``, the batch mean as a chain of per-image
 ``row_cross_entropy`` nodes; and the routing around the block as generic
-ops: ``composed_score``, ``composed_step`` and ``composed_routing_loss``.
+ops: ``composed_score``, ``composed_step`` and ``composed_routing_loss``;
+``joined_checkpoint_bytes``, the checkpoint packer that joined the whole
+file in memory before it wrote, as the oracle of the streaming writer.
 
 The generic ops that only these oracles and the tests use live here too
 (``split_heads``, ``tsum``, ``mean``, ``softmax_rows``, ``sigmoid`` and
@@ -19,11 +21,15 @@ one tape node.
 """
 
 import math
+import struct
+import zlib
 
 import numpy as np
 from scipy.special import erf
 
 from morvit.backbone import LN_EPS, block_tensors, encoder_block
+from morvit.checkpoint import _DTYPES, _TAGS, MAGIC, VERSION, pack_rng_state
+from morvit.config import serialize_config
 from morvit.errors import ShapeError
 from morvit.tensor import (
     Tape,
@@ -455,3 +461,46 @@ def composed_routing_loss(traces, kappa):
     exp_depth = mean(split_heads(matmul(softmax_rows(logits), levels), 1, batch.images), axis=1)
     dev = add(exp_depth, -kappa)
     return mean(mul(dev, dev))
+
+
+# ---------------------------------------------------------------- checkpoint
+
+def _joined_tensor_table(buf, table):
+    buf.append(struct.pack("<I", len(table)))
+    for name, arr in table.items():
+        nb = name.encode("utf-8")
+        arr = np.ascontiguousarray(arr)
+        tag = _TAGS[arr.dtype]
+        buf.append(struct.pack("<I", len(nb)))
+        buf.append(nb)
+        buf.append(struct.pack("<BB", tag, arr.ndim))
+        buf.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+        buf.append(arr.astype(_DTYPES[tag], copy=False).tobytes())
+
+
+def joined_checkpoint_bytes(cfg, named_tensors, optimizer=None, rng_state=None):
+    """The bytes ``save_checkpoint`` writes, packed piece by piece into a
+    list, joined and followed by the CRC of the joined body."""
+    buf = [MAGIC, struct.pack("<I", VERSION)]
+    cfg_bytes = serialize_config(cfg).encode("utf-8")
+    buf.append(struct.pack("<Q", len(cfg_bytes)))
+    buf.append(cfg_bytes)
+    _joined_tensor_table(buf, {
+        name: (t.data if isinstance(t, Tensor) else np.asarray(t))
+        for name, t in named_tensors.items()
+    })
+    if optimizer is None:
+        buf.append(b"\x00")
+    else:
+        buf.append(b"\x01")
+        buf.append(struct.pack("<Qdddd", optimizer.step, optimizer.lr,
+                               optimizer.beta1, optimizer.beta2, optimizer.eps))
+        _joined_tensor_table(buf, optimizer.m)
+        _joined_tensor_table(buf, optimizer.v)
+    if rng_state is None:
+        buf.append(b"\x00")
+    else:
+        buf.append(b"\x01")
+        buf.append(pack_rng_state(rng_state))
+    body = b"".join(buf)
+    return body + struct.pack("<I", zlib.crc32(body))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from morvit.checkpoint import load_checkpoint, save_checkpoint
-from morvit.cli import build_parser, main
+from morvit.cli import MAX_BENCH_BATCH, build_parser, main
 from morvit.config import PRESETS, serialize_config
 from morvit.model import init_params
 from test_checkpoint import as_v1
@@ -408,6 +408,60 @@ def test_resume_with_nothing_left_to_train_is_exit_2(tmp_path, micro_config_file
     code, _, err = run_cli(argv + ["--resume", ckpt], capsys)
     assert_clean_error(code, err)
     assert "nothing left to train" in err
+
+
+def test_non_utf8_config_file_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"lr=0.001\n# \xff\n")
+    code, _, err = run_cli(
+        ["train", "--config", str(bad), "--data", "synth", "--out", str(tmp_path / "m.ckpt")],
+        capsys,
+    )
+    assert_clean_error(code, err)
+    assert "not UTF-8" in err
+
+
+def test_train_with_a_nan_lr_is_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    import morvit.train
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained with an invalid lr")
+
+    monkeypatch.setattr(morvit.train, "train", no_training)
+    path = str(tmp_path / "nan.cfg")
+    save_config(micro_cfg().replace(lr=float("nan")), path)
+    code, _, err = run_cli(
+        ["train", "--config", path, "--data", "synth", "--out", str(tmp_path / "m.ckpt")], capsys
+    )
+    assert_clean_error(code, err)
+    assert "lr must be finite and > 0, got nan" in err
+
+
+def test_profile_bench_batch_is_capped(capsys):
+    # argv parsing only: no checkpoint is read and no forward runs
+    parser = build_parser()
+    top = ["profile", "--ckpt", "m.ckpt", "--bench", "--batch"]
+    assert parser.parse_args(top + [str(MAX_BENCH_BATCH)]).batch == MAX_BENCH_BATCH
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(top + [str(MAX_BENCH_BATCH + 1)])
+    assert_clean_error(exc.value.code, capsys.readouterr().err, expected=1)
+
+
+def test_ablate_out_that_cannot_be_written_fails_before_training(tmp_path, capsys,
+                                                                  monkeypatch):
+    import morvit.train
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr(morvit.train, "run_ablation", no_training)
+    for out, reason in ((tmp_path, "is a directory"),
+                        (tmp_path / "missing" / "t.tsv", "no directory")):
+        code, _, err = run_cli(["ablate", "--config", "tiny-desk", "--data", "synth",
+                                "--out", str(out)], capsys)
+        assert_clean_error(code, err)
+        assert reason in err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--repeats", "2")])

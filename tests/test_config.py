@@ -33,3 +33,9 @@ def test_validate_rejects_a_hard_fraction_outside_0_1(fraction):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_is_valid(preset):
     PRESETS[preset].validate()
+
+
+@pytest.mark.parametrize("lr", (float("nan"), float("inf"), 0.0, -1.0))
+def test_validate_rejects_an_lr_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+        PRESETS["tiny-desk"].replace(lr=lr).validate()

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from morvit.errors import ShapeError
 from morvit.tensor import (
     Tape,
     Tensor,
+    _record,
     add,
     backward,
     count_macs,
@@ -494,6 +497,27 @@ def test_backward_releases_every_non_leaf_gradient():
     backward(loss)
     assert w.grad is not None
     assert len(outputs) > 4 and all(t.grad is None for t in outputs)
+
+
+def test_replay_frees_each_node_once_it_has_run():
+    x = Tensor(rand((3,), seed=47), requires_grad=True)
+    saved = np.ones(3)
+    saved_ref = weakref.ref(saved)
+    freed = []
+
+    def first_back(g):
+        freed.append(saved_ref() is None)
+        return (g,)
+
+    with Tape() as tape:
+        y = _record(Tensor(x.data.copy()), (x,), first_back)
+        loss = _record(Tensor(y.data.sum()), (y,), lambda g, s=saved: (g * s,))
+    del saved
+    backward(loss)
+    # the loss node's closure, and the array it saved, died before the
+    # replay reached the first node
+    assert freed == [True]
+    assert not tape.nodes and np.array_equal(x.grad, np.ones(3))
 
 
 @pytest.mark.parametrize("op", [matmul, mul, add])
