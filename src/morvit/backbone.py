@@ -1,5 +1,9 @@
 """Patch embedding, the shared pre-norm encoder block, and the classifier head.
 
+The head is ``affine_rows`` on the class rows: one tape node that gathers
+rows and maps them affinely, which the token-choice depth predictor and the
+router score (``routing``) use too.
+
 The encoder block is the function the recursion loop re-applies; it is a
 plain pre-norm transformer block (LN -> multi-head self-attention -> residual,
 LN -> GELU MLP -> residual) over exactly the rows it is given. Those rows are
@@ -13,9 +17,8 @@ The block runs in raw numpy on arrays, not on tensors. Each sublayer,
 ``x + f(LN(x))``, is a forward that returns its output and, only when asked
 to keep it, the closure of its hand-written backward (``_attention`` and
 ``_mlp``). ``encoder_block`` chains the two, and the recursion step
-(``routing._apply_block``) records it inside its one tape node.
-``attention_sublayer`` and ``mlp_sublayer`` wrap the same pairs as one tape
-node each. A kept backward holds only what it cannot rebuild in one
+(``routing._apply_block``) records it inside its one tape node. A kept
+backward holds only what it cannot rebuild in one
 elementwise pass: each LN's normalized rows and 1/std, q, k, v, the
 attention weights, the attended rows, u = LN2(x) W1 + b1 and ndtr(u). It
 rebuilds the LN outputs and the GELU product with the forward's own
@@ -45,16 +48,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ShapeError
-from .tensor import (
-    Tensor,
-    _merge,
-    _mm,
-    _record,
-    _recording,
-    _split,
-    add,
-    matmul,
-)
+from .tensor import Tensor, _mm, _record
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
@@ -278,6 +272,53 @@ def _check_rows(h, width, what):
         raise ShapeError(f"{what} expects rows of width {width}, got shape {h.shape}")
 
 
+def _affine_rows(h, rows, w, b):
+    """Raw h[rows] @ w + b of the tensors h, w and b: (y, backward).
+
+    The backward maps dy to (dh, dw, db), None for a tensor that requires no
+    gradient. ``rows`` must be unique: the backward writes each row's
+    gradient into a zero dh, it does not add them.
+    """
+    _check_rows(h, w.shape[0], "affine_rows")
+    x = h.data[rows]
+    y = _affine(x, w, b)
+
+    def back(dy):
+        dh = None
+        if h.requires_grad:
+            dh = np.zeros_like(h.data)
+            dh[rows] = dy @ w.data.T
+        return (dh, *_affine_grads((x, dy, w, b)))
+
+    return y, back
+
+
+def affine_rows(h, rows, w, b):
+    """h[rows] @ w + b for the unique indices ``rows`` of h, as one tape node.
+
+    The model's head maps the class rows to logits through it, and the
+    token-choice depth predictor the patch rows to depth logits.
+    """
+    y, back = _affine_rows(h, rows, w, b)
+    return _record(Tensor(y), (h, w, b), back)
+
+
+def _split(x, heads, segments):
+    """(S*M, D) rows -> (S*H, M, D/H) stack of the heads of S segments."""
+    m, d = x.shape
+    m //= segments
+    x = x.reshape(segments, m, heads, d // heads).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(x).reshape(segments * heads, m, d // heads)
+
+
+def _merge(x, segments):
+    """The inverse of ``_split``: (S*H, M, dh) stack -> (S*M, H*dh) rows."""
+    sh, m, dh = x.shape
+    heads = sh // segments
+    x = x.reshape(segments, heads, m, dh).transpose(0, 2, 1, 3)
+    return x.reshape(segments * m, heads * dh)
+
+
 def _stretches(runs):
     """(first row, end row, runs) of each stretch of consecutive equal runs."""
     out, lo = [], 0
@@ -335,7 +376,7 @@ def _attention(x, blk, runs, keep):
     single run length it is one stack over all rows.
     """
     heads = blk.heads
-    _check_rows(x, blk.ln1_g.shape[0], "attention_sublayer")
+    _check_rows(x, blk.ln1_g.shape[0], "the attention sublayer")
     if runs is None:
         runs = [x.shape[0]]
     if (x.shape[1] % heads or not runs or min(runs) < 1 or sum(runs) != x.shape[0]):
@@ -395,7 +436,7 @@ def _mlp(x, blk, keep):
 
     Without ``keep`` every intermediate is a temporary that dies once read.
     """
-    _check_rows(x, blk.ln2_g.shape[0], "mlp_sublayer")
+    _check_rows(x, blk.ln2_g.shape[0], "the MLP sublayer")
     gain, bias = blk.ln2_g.data, blk.ln2_b.data
     if not keep:
         out = _affine(_gelu(_affine(_layernorm(x, gain, bias), blk.w1, blk.b1)), blk.w2, blk.b2)
@@ -424,20 +465,6 @@ def _mlp(x, blk, keep):
     return out, back
 
 
-def attention_sublayer(h, blk: BlockParams, runs=None):
-    """h + MHSA(LN1(h)) as one tape node; ``runs`` as in ``encoder_block``."""
-    inputs = (h, *_attention_tensors(blk))
-    out, back = _attention(h.data, blk, runs, _recording(inputs))
-    return _record(Tensor(out), inputs, back)
-
-
-def mlp_sublayer(h, blk: BlockParams):
-    """h + W2 GELU(LN2(h) W1 + b1) + b2 as one tape node."""
-    inputs = (h, *_mlp_tensors(blk))
-    out, back = _mlp(h.data, blk, _recording(inputs))
-    return _record(Tensor(out), inputs, back)
-
-
 def encoder_block(x, blk: BlockParams, runs=None, keep=False):
     """The pre-norm block over the rows of the array x, in raw numpy.
 
@@ -460,7 +487,3 @@ def encoder_block(x, blk: BlockParams, runs=None, keep=False):
 
     return out, back
 
-
-def classify(h_cls, head: HeadParams):
-    """Affine map of the class-token state to logits; no softmax here."""
-    return add(matmul(h_cls, head.w), head.b)

@@ -75,7 +75,7 @@ def _pack_tensor_table(out, table):
     out.write(struct.pack("<I", len(table)))
     for name, arr in table.items():
         nb = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # ascontiguousarray would make a 0-d array 1-d
         tag = _TAGS[arr.dtype]
         out.write(struct.pack("<I", len(nb)))
         out.write(nb)

@@ -68,8 +68,8 @@ class RunConfig:
                 f"synth_hard_fraction must be in [0, 1], got {self.synth_hard_fraction}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.routing_lambda < 0.0:
-            raise ConfigError("routing_lambda must be nonnegative")
+        if not (math.isfinite(self.routing_lambda) and self.routing_lambda >= 0.0):
+            raise ConfigError(f"routing_lambda must be finite and >= 0, got {self.routing_lambda}")
         if self.routing_mode not in ROUTING_MODES:
             raise ConfigError(f"routing_mode must be one of {ROUTING_MODES}")
         return self

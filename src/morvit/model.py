@@ -1,4 +1,4 @@
-"""Full model: embed -> recursion -> classify, plus the training objective."""
+"""Full model: embed -> recursion -> head, plus the training objective."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from . import backbone, routing
 from .backbone import (
     EmbedParams,
     HeadParams,
-    classify,
+    affine_rows,
     embed,
     init_block_params,
     init_embed_params,
@@ -19,7 +19,7 @@ from .backbone import (
 )
 from .errors import NumericError
 from .routing import RouterParams, init_router_params, run_recursion
-from .tensor import Tensor, _mm, _record, add, cross_entropy, gather_rows, mul
+from .tensor import Tensor, _mm, _record, cross_entropy, gather_rows
 
 
 def _tensor_fields(prefix, params):
@@ -77,7 +77,8 @@ def forward(images, params: ModelParams, cfg):
         return [], []
     z0 = embed(patchify(images, cfg.patch_size), params.embed)
     hidden, traces = run_recursion(z0, params.blocks, params.router, cfg)
-    logits = classify(gather_rows(hidden, np.arange(len(images)) * cfg.tokens), params.head)
+    head = params.head
+    logits = affine_rows(hidden, np.arange(len(images)) * cfg.tokens, head.w, head.b)  # (B, C)
     return [gather_rows(logits, [b]) for b in range(len(images))], traces
 
 
@@ -140,12 +141,16 @@ def routing_loss(traces, kappa):
 
 
 def total_loss(logits_list, labels, traces, cfg):
-    """Mean cross-entropy over the batch + routing_lambda * routing loss."""
+    """Mean cross-entropy over the batch + routing_lambda * routing loss.
+
+    The weighted sum is one tape node.
+    """
     lt = cross_entropy(logits_list, labels)
-    if cfg.routing_lambda == 0.0 or cfg.routing_mode == "static":
+    lam = cfg.routing_lambda
+    if lam == 0.0 or cfg.routing_mode == "static":
         return lt
     lr = routing_loss(traces, 1.0 - cfg.beta)
-    return add(lt, mul(lr, cfg.routing_lambda))
+    return _record(Tensor(lt.data + lr.data * lam), (lt, lr), lambda g: (g, g * lam))
 
 
 def check_finite(t, what="value"):

@@ -38,14 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .backbone import block_tensors, encoder_block, trunc_normal
+from .backbone import _affine_rows, affine_rows, block_tensors, encoder_block, trunc_normal
 from .errors import ShapeError
-from .tensor import Tensor, _mm, _record, _recording, add, gather_rows, matmul
+from .tensor import Tensor, _record, _recording
 
 # The benchmark's tracer wraps ``routing.gather_rows`` and
 # ``routing.scatter_rows`` by these names (benchmark/run.py, LAYER_SPANS).
-# Since a step is one op nothing here scatters, but the name stays.
-from .tensor import scatter_rows  # noqa: F401
+# No routing code calls either: a step, a router score and the depth
+# predictor each gather inside their own op. The names stay for the tracer.
+from .tensor import gather_rows, scatter_rows  # noqa: F401
 
 
 @dataclass
@@ -126,26 +127,15 @@ class RoutingTrace:
 def routing_score(h, rows, step: StepRouter):
     """Gates sigmoid(h[rows] . w + b) of the given rows of h, shape (rows, 1).
 
-    One tape node for the gather, the router's product and bias and the
-    sigmoid; ``expit`` saturates to 0 or 1 where exp would overflow. The
-    backward scatters the rows' gradient back into h's gathered rows.
+    One tape node: ``backbone._affine_rows`` gathers the rows and applies the
+    router's product and bias, and ``expit``, which saturates to 0 or 1
+    where exp would overflow, is the sigmoid. ``rows`` are unique.
     """
-    x = h.data[rows]
-    w = step.w.data
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"router of width {w.shape[0]} on rows of shape {x.shape}")
-    z = _mm(x, w)
-    z += step.b.data
+    z, affine_back = _affine_rows(h, rows, step.w, step.b)
     y = expit(z, out=z)
 
     def back(g):
-        dz = g * y * (1.0 - y)
-        dh = None
-        if h.requires_grad:
-            dh = np.zeros_like(h.data)
-            dh[rows] = dz @ w.T
-        return (dh, x.T @ dz if step.w.requires_grad else None,
-                dz.sum(axis=0) if step.b.requires_grad else None)
+        return affine_back(g * y * (1.0 - y))
 
     return _record(Tensor(y), (h, step.w, step.b), back)
 
@@ -184,8 +174,8 @@ def token_choice_assign(z0, router: RouterParams, images=1):
     image in order, (patches, R) logits graph tensor).
     """
     tokens = z0.shape[0] // images
-    patches = gather_rows(z0, np.flatnonzero(np.arange(z0.shape[0]) % tokens))
-    logits = add(matmul(patches, router.choice_w), router.choice_b)  # (B*N, R)
+    patch_rows = np.flatnonzero(np.arange(z0.shape[0]) % tokens)
+    logits = affine_rows(z0, patch_rows, router.choice_w, router.choice_b)  # (B*N, R)
     depths = np.argmax(logits.data, axis=1) + 1  # first max wins = smaller depth
     return depths.astype(np.int64), logits
 

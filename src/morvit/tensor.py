@@ -17,15 +17,14 @@ hold gradients, each in memory of its own. A backward function may return
 None for an input that requires no gradient, and the replay ignores any
 gradient it returns for such an input.
 
-The model's layers are not composed of these ops. Each of the following
-is a fused op: it computes in raw numpy, records one node through
-``_record`` and brings a hand-written backward under the same ownership
-rule.
+Every op the model records is a fused op: it computes in raw numpy,
+records one node through ``_record`` and brings a hand-written backward
+under the same ownership rule. They are:
 
 * ``backbone.embed``, the patch embedding (1 node instead of up to 6);
-* ``backbone.attention_sublayer`` and ``mlp_sublayer``, the block's two
-  sublayers, thin wrappers over the raw forward/backward pairs that
-  ``backbone.encoder_block`` chains;
+* ``backbone.affine_rows``, an affine map of some rows of a tensor: the
+  head on the class rows and the token-choice depth predictor on the patch
+  rows (1 node instead of a gather, a product and a bias add);
 * ``routing.routing_score``, the gather, router product, bias and sigmoid
   of one expert-choice step (1 node instead of 4);
 * ``routing._apply_block``, a whole recursion step: the gather of the taken
@@ -33,18 +32,18 @@ rule.
   hidden state (1 node instead of the block's 2 and 5 around them);
 * ``model.routing_loss``, the batch's routing loss (1 node instead of 26
   for a four-step expert-choice batch);
-* ``cross_entropy``, the batch mean of the task loss (1 node instead of 2B).
+* ``cross_entropy``, the batch mean of the task loss (1 node instead of 2B);
+* ``model.total_loss``'s weighted sum of the task and routing losses.
 
-A fused op asks ``_recording`` before its forward whether a node will be
-recorded, and only then keeps what its backward reads; a forward without a
-tape keeps nothing past each sublayer. Every forward matrix product, fused
-or not, goes through ``_mm``, the one place ``count_macs`` counts.
+Besides these, only ``gather_rows`` records, to split a batch's logits into
+one row per image. A fused op asks ``_recording`` before its forward whether
+a node will be recorded, and only then keeps what its backward reads; a
+forward without a tape keeps nothing past each sublayer. Every forward
+matrix product goes through ``_mm``, the one place ``count_macs`` counts.
 
-``matmul`` also takes a leading (S*H, M, .) stack axis, the layout of
-attention heads (see ``_split``). No source caller passes one, but the
-composed block that the fused one is tested against
-(``tests/oracles.py::composed_encoder_block``) runs on such stacks. The
-generic ops that only the tests use live in ``tests/oracles.py``.
+The generic ops that the fused ones replaced, such as the broadcasting
+``add`` and ``mul`` and ``matmul`` over matrices and head stacks, live in
+``tests/oracles.py`` with the other ops that only the tests use.
 
 Tensors that appear on a tape are never mutated in place; the optimizer
 updates leaf parameters only between tapes.
@@ -106,8 +105,8 @@ def count_macs():
 def _mm(a, b):
     """Raw-array a @ b of an (M, K) or (H, M, K) ``a``, counted as H*m*k*n MACs.
 
-    Every forward matrix product goes through here, ``matmul``'s and the
-    fused block ops' alike, so instrumented MACs equal the profiler's count.
+    Every forward matrix product goes through here, so instrumented MACs
+    equal the profiler's count.
     """
     if _mac_counter is not None:
         _mac_counter.macs += a.size * b.shape[-1]
@@ -246,81 +245,6 @@ def _record(out, inputs, backfn):
                 _active_tape.nodes.append(_Node(out, inputs, backfn))
             break
     return out
-
-
-def _unbroadcast(grad, shape):
-    # Sum the gradient down over axes that were broadcast on the forward pass.
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _broadcast(op, a, b, name):
-    try:
-        return op(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape} for {name}") from None
-
-
-def add(a, b):
-    """Elementwise sum with trailing-dimension broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(_broadcast(np.add, a, b, "add"))
-
-    def back(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), back)
-
-
-def mul(a, b):
-    """Elementwise product with broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(_broadcast(np.multiply, a, b, "mul"))
-
-    def back(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), back)
-
-
-def matmul(a, b):
-    """(M, K) @ (K, N), or (H, M, K) @ (H, K, N) as H independent products.
-
-    Backward is dA = g @ B^T, dB = A^T @ g over the last two axes.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    if (ad.ndim not in (2, 3) or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
-            or ad.shape[-1] != bd.shape[-2]):
-        raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
-    out = Tensor(_mm(ad, bd))
-
-    def back(g):
-        return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
-                a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
-
-    return _record(out, (a, b), back)
-
-
-def _split(x, heads, segments):
-    m, d = x.shape
-    m //= segments
-    x = x.reshape(segments, m, heads, d // heads).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(x).reshape(segments * heads, m, d // heads)
-
-
-def _merge(x, segments):
-    sh, m, dh = x.shape
-    heads = sh // segments
-    x = x.reshape(segments, heads, m, dh).transpose(0, 2, 1, 3)
-    return x.reshape(segments * m, heads * dh)
 
 
 def _unique(idx, n):

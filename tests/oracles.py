@@ -7,17 +7,21 @@ replaced implementation as the oracle of its replacement: the plain replay
 composition of generic tape ops, one node per op and each run of rows
 composed alone (``layernorm``, ``gelu``,
 ``transpose`` and ``merge_heads`` live here only, as that block used them);
-``composed_embed``, the embedding as 4 to 6 generic ops;
+``composed_embed``, the embedding as 4 to 6 generic ops; ``classify``, the
+head as a ``matmul`` and an ``add``, the oracle of ``backbone.affine_rows``;
 ``composed_task_loss``, the batch mean as a chain of per-image
 ``row_cross_entropy`` nodes; and the routing around the block as generic
 ops: ``composed_score``, ``composed_step`` and ``composed_routing_loss``;
 ``joined_checkpoint_bytes``, the checkpoint packer that joined the whole
 file in memory before it wrote, as the oracle of the streaming writer.
 
-The generic ops that only these oracles and the tests use live here too
-(``split_heads``, ``tsum``, ``mean``, ``softmax_rows``, ``sigmoid`` and
-``concat_rows``), and ``block_op``, the raw ``encoder_block`` recorded as
-one tape node.
+The generic ops that only these oracles and the tests use live here too:
+the broadcasting ``add`` and ``mul``, ``matmul`` over matrices and (S*H, M, .)
+head stacks, ``split_heads``, ``tsum``, ``mean``, ``softmax_rows``,
+``sigmoid`` and ``concat_rows``. So do ``block_op``, the raw
+``encoder_block`` recorded as one tape node, and ``attention_sublayer`` and
+``mlp_sublayer``, each of the block's raw sublayers recorded as one node.
+No model code records any of them.
 """
 
 import math
@@ -27,7 +31,17 @@ import zlib
 import numpy as np
 from scipy.special import erf
 
-from morvit.backbone import LN_EPS, block_tensors, encoder_block
+from morvit.backbone import (
+    LN_EPS,
+    _attention,
+    _attention_tensors,
+    _merge,
+    _mlp,
+    _mlp_tensors,
+    _split,
+    block_tensors,
+    encoder_block,
+)
 from morvit.checkpoint import _DTYPES, _TAGS, MAGIC, VERSION, pack_rng_state
 from morvit.config import serialize_config
 from morvit.errors import ShapeError
@@ -35,15 +49,11 @@ from morvit.tensor import (
     Tape,
     Tensor,
     _as_tensor,
-    _merge,
+    _mm,
     _record,
     _recording,
-    _split,
-    add,
     backward,
     gather_rows,
-    matmul,
-    mul,
     scatter_rows,
 )
 
@@ -51,7 +61,68 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# ---------------------------------------------------------------- test-only ops
+# ---------------------------------------------------------------- generic ops
+
+def _unbroadcast(grad, shape):
+    # Sum the gradient down over axes that were broadcast on the forward pass.
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _broadcast(op, a, b, name):
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape} for {name}") from None
+
+
+def add(a, b):
+    """Elementwise sum with trailing-dimension broadcasting."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(_broadcast(np.add, a, b, "add"))
+
+    def back(g):
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _record(out, (a, b), back)
+
+
+def mul(a, b):
+    """Elementwise product with broadcasting."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor(_broadcast(np.multiply, a, b, "mul"))
+
+    def back(g):
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return _record(out, (a, b), back)
+
+
+def matmul(a, b):
+    """(M, K) @ (K, N), or (H, M, K) @ (H, K, N) as H independent products.
+
+    Backward is dA = g @ B^T, dB = A^T @ g over the last two axes.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
+    if (ad.ndim not in (2, 3) or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ShapeError(f"matmul shape mismatch: {ad.shape} @ {bd.shape}")
+    out = Tensor(_mm(ad, bd))
+
+    def back(g):
+        return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
+                a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
+
+    return _record(out, (a, b), back)
+
 
 def split_heads(x, heads, segments=1):
     """(S*M, D) rows -> (S*H, M, D/H) stack, for S segments of M rows each.
@@ -133,6 +204,20 @@ def block_op(h, blk, runs=None):
     """``encoder_block`` on a tensor, recorded as one tape node."""
     inputs = (h, *block_tensors(blk))
     out, back = encoder_block(h.data, blk, runs, _recording(inputs))
+    return _record(Tensor(out), inputs, back)
+
+
+def attention_sublayer(h, blk, runs=None):
+    """h + MHSA(LN1(h)) as one tape node; ``runs`` as in ``encoder_block``."""
+    inputs = (h, *_attention_tensors(blk))
+    out, back = _attention(h.data, blk, runs, _recording(inputs))
+    return _record(Tensor(out), inputs, back)
+
+
+def mlp_sublayer(h, blk):
+    """h + W2 GELU(LN2(h) W1 + b1) + b2 as one tape node."""
+    inputs = (h, *_mlp_tensors(blk))
+    out, back = _mlp(h.data, blk, _recording(inputs))
     return _record(Tensor(out), inputs, back)
 
 
@@ -348,6 +433,12 @@ def _composed_run(h, blk):
 
 # ---------------------------------------------------------------- composed ends
 
+def classify(h_cls, head):
+    """Affine map of the class-token state to logits as a ``matmul`` and an
+    ``add``, the oracle of the head's ``backbone.affine_rows``."""
+    return add(matmul(h_cls, head.w), head.b)
+
+
 def composed_embed(patches, ep):
     """Project patches, prepend the class token, add positional rows.
 
@@ -469,7 +560,7 @@ def _joined_tensor_table(buf, table):
     buf.append(struct.pack("<I", len(table)))
     for name, arr in table.items():
         nb = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr)
         tag = _TAGS[arr.dtype]
         buf.append(struct.pack("<I", len(nb)))
         buf.append(nb)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from morvit.backbone import classify, embed, patchify
+from morvit.backbone import embed, patchify
 from morvit.checkpoint import load_checkpoint, params_from_checkpoint, save_checkpoint
 from morvit.config import PRESETS
 from morvit.data import load_cifar10_binary, synth_holdout_set, synth_mixed_difficulty
@@ -30,9 +30,9 @@ from morvit.profiler import (
     export_depth_map,
 )
 from morvit.routing import run_recursion, select_active
-from morvit.tensor import Tape, add, backward, count_macs, gather_rows
+from morvit.tensor import Tape, backward, count_macs, gather_rows
 from morvit.train import evaluate, run_ablation, train
-from oracles import block_op
+from oracles import add, block_op, classify
 from test_routing import record_steps, unit_gates
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

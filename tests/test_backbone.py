@@ -8,27 +8,31 @@ from hypothesis import strategies as st
 from morvit.backbone import (
     BlockParams,
     EmbedParams,
-    attention_sublayer,
+    affine_rows,
     block_param_count,
-    classify,
     embed,
     encoder_block,
     init_block_params,
     init_embed_params,
     init_head_params,
-    mlp_sublayer,
     patchify,
 )
 from morvit.config import PRESETS
 from morvit.errors import ShapeError
 from morvit.model import forward, init_params
-from morvit.tensor import Tape, Tensor, backward, gather_rows, mul
+from morvit.tensor import Tape, Tensor, backward, gather_rows
 from oracles import (
+    add,
     attention_block_reference,
+    attention_sublayer,
     block_op,
+    classify,
     composed_embed,
     composed_encoder_block,
     grad_check,
+    matmul,
+    mlp_sublayer,
+    mul,
     patchify_reference,
     tsum,
 )
@@ -338,15 +342,15 @@ def test_sublayers_reject_bad_shapes():
         mlp_sublayer(Tensor(np.zeros(cfg.hidden)), blk)
 
 
-# ---------------------------------------------------------------- classify
+# ---------------------------------------------------------------- head
 
 def test_classify_zero_weights_gives_bias():
     cfg = tiny_cfg()
     head = init_head_params(cfg, gen(13))
     head.w.data[:] = 0.0
     head.b.data[:] = [1.0, 2.0, 3.0]
-    out = classify(Tensor(gen(14).normal(size=(1, cfg.hidden))), head)
-    assert np.array_equal(out.data, [[1.0, 2.0, 3.0]])
+    out = affine_rows(Tensor(gen(14).normal(size=(3, cfg.hidden))), [0, 2], head.w, head.b)
+    assert np.array_equal(out.data, [[1.0, 2.0, 3.0]] * 2)
 
 
 def test_classify_one_hot_rows_copy_coordinates():
@@ -356,10 +360,36 @@ def test_classify_one_hot_rows_copy_coordinates():
     head.b.data[:] = 0.0
     head.w.data[2, 0] = 1.0
     head.w.data[5, 1] = 1.0
-    h = Tensor(gen(16).normal(size=(1, cfg.hidden)))
-    out = classify(h, head)
-    assert out.data[0, 0] == h.data[0, 2]
-    assert out.data[0, 1] == h.data[0, 5]
+    h = Tensor(gen(16).normal(size=(2, cfg.hidden)))
+    out = affine_rows(h, [1], head.w, head.b)
+    assert out.data[0, 0] == h.data[1, 2]
+    assert out.data[0, 1] == h.data[1, 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), d=st.integers(1, 6), c=st.integers(1, 5), data=st.data())
+def test_affine_rows_matches_gather_matmul_add_bytewise(n, d, c, data):
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                       unique=True)))
+    g = gen(data.draw(st.integers(0, 2**16)))
+    h = Tensor(g.normal(size=(n, d)), requires_grad=True)
+    w = Tensor(g.normal(size=(d, c)), requires_grad=True)
+    b = Tensor(g.normal(size=c), requires_grad=True)
+    weights = Tensor(g.normal(size=(rows.size, c)))
+
+    def run(op):
+        h.grad = w.grad = b.grad = None
+        with Tape() as tape:
+            out = op(h, rows, w, b)
+            nodes = len(tape.nodes)
+            loss = tsum(mul(out, weights))
+        backward(loss)
+        return nodes, [t.tobytes() for t in (out.data, h.grad, w.grad, b.grad)]
+
+    fused_nodes, fused = run(affine_rows)
+    composed_nodes, composed = run(lambda h, r, w, b: add(matmul(gather_rows(h, r), w), b))
+    assert (fused_nodes, composed_nodes) == (1, 3)
+    assert fused == composed
 
 
 def test_gradcheck_through_classify_and_block():
@@ -371,7 +401,7 @@ def test_gradcheck_through_classify_and_block():
 
     def loss():
         out = block_op(h, blk)
-        return tsum(classify(gather_rows(out, [0]), head))
+        return tsum(affine_rows(out, [0, 2], head.w, head.b))
 
     # composition-level tolerance (single-op checks hold the tighter 1e-6)
     assert grad_check(loss, params) < 1e-4

@@ -270,6 +270,18 @@ def test_save_streams_the_joined_packers_bytes(tmp_path):
     assert open(path, "rb").read() == joined_checkpoint_bytes(cfg(), odd)
 
 
+def test_arrays_keep_their_shape_and_bytes_through_a_checkpoint(tmp_path):
+    grid = np.arange(12.0).reshape(3, 4)
+    odd = {"s": np.array(2.5), "transposed": grid.T, "strided": np.arange(8.0)[::3],
+           "empty": np.zeros((0, 3))}
+    path = tmp_path / "odd.ckpt"
+    save_checkpoint(path, cfg(), odd)
+    back = load_checkpoint(path).tensors
+    for name, arr in odd.items():
+        assert back[name].shape == arr.shape, name
+        assert back[name].tobytes() == arr.tobytes(), name
+
+
 def test_a_tensor_that_cannot_be_packed_leaves_no_file(tmp_path):
     path = tmp_path / "model.ckpt"
     with pytest.raises(KeyError):

@@ -421,20 +421,33 @@ def test_non_utf8_config_file_is_exit_2(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
-def test_train_with_a_nan_lr_is_exit_2_before_training(tmp_path, capsys, monkeypatch):
+def train_with_config(tmp_path, capsys, monkeypatch, **bad):
+    """``morvit train`` on a config file with the ``bad`` fields, with
+    ``train.train`` patched to fail if it is called; returns stderr."""
     import morvit.train
 
     def no_training(*args, **kw):
-        raise AssertionError("trained with an invalid lr")
+        raise AssertionError(f"trained with an invalid config: {bad}")
 
     monkeypatch.setattr(morvit.train, "train", no_training)
-    path = str(tmp_path / "nan.cfg")
-    save_config(micro_cfg().replace(lr=float("nan")), path)
+    path = str(tmp_path / "bad.cfg")
+    save_config(micro_cfg().replace(**bad), path)
     code, _, err = run_cli(
         ["train", "--config", path, "--data", "synth", "--out", str(tmp_path / "m.ckpt")], capsys
     )
     assert_clean_error(code, err)
+    return err
+
+
+def test_train_with_a_nan_lr_is_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    err = train_with_config(tmp_path, capsys, monkeypatch, lr=float("nan"))
     assert "lr must be finite and > 0, got nan" in err
+
+
+def test_train_with_a_nan_routing_lambda_is_exit_2_before_training(tmp_path, capsys,
+                                                                    monkeypatch):
+    err = train_with_config(tmp_path, capsys, monkeypatch, routing_lambda=float("nan"))
+    assert "routing_lambda must be finite and >= 0, got nan" in err
 
 
 def test_profile_bench_batch_is_capped(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morvit import model, routing
-from morvit.backbone import block_param_count, classify, embed, patchify
+from morvit.backbone import block_param_count, embed, patchify
 from morvit.config import PRESETS
 from morvit.data import synth_mixed_difficulty, synth_train_set
 from morvit.errors import ShapeError
@@ -18,13 +18,16 @@ from morvit.model import (
     total_loss,
 )
 from morvit.profiler import count_flops
-from morvit.tensor import Tape, Tensor, add, backward, count_macs, cross_entropy, gather_rows, mul
+from morvit.tensor import Tape, Tensor, backward, count_macs, cross_entropy, gather_rows
 from oracles import (
+    add,
     block_op,
+    classify,
     composed_routing_loss,
     composed_score,
     composed_step,
     grad_check,
+    mul,
     reference_backward,
 )
 
@@ -390,6 +393,28 @@ def test_total_loss_gradient_is_sum_of_parts():
         assert np.abs(go - (gt + gr)).max() < 1e-12
 
 
+@pytest.mark.parametrize("mode", ["expert_choice", "token_choice"])
+def test_total_loss_is_the_composed_sum_bytewise(mode):
+    # the weighted sum is one node with the bits of add(lt, mul(lr, lambda))
+    cfg = PRESETS["desk-synth"].replace(routing_mode=mode, routing_lambda=0.3).validate()
+    params = init_params(cfg)
+    recs = synth_train_set(cfg)[0][:5]
+    named = params.named()
+
+    def run(combine):
+        params.zero_grads()
+        with Tape():
+            logits_list, traces = forward([r.image for r in recs], params, cfg)
+            loss = combine(logits_list, [r.label for r in recs], traces)
+        backward(loss)
+        return loss.data.tobytes(), {n: t.grad.tobytes() for n, t in named.items()}
+
+    fused = run(lambda lg, lb, tr: total_loss(lg, lb, tr, cfg))
+    composed = run(lambda lg, lb, tr: add(cross_entropy(lg, lb), mul(
+        routing_loss(tr, 1.0 - cfg.beta), cfg.routing_lambda)))
+    assert fused == composed
+
+
 @pytest.mark.parametrize("preset,over", [
     ("desk-synth", {"routing_mode": "expert_choice"}),
     ("desk-synth", {"routing_mode": "token_choice"}),
@@ -421,13 +446,14 @@ def test_total_loss_gradients_match_reference_replay_bytewise(preset, over):
 
 
 @pytest.mark.parametrize("mode,share,nodes", [
-    ("expert_choice", True, {8: 24, 1: 17}),
-    ("token_choice", True, {8: 23, 1: 16}),
-    ("static", False, {8: 17, 1: 10}),
+    ("expert_choice", True, {8: 21, 1: 14}),
+    ("token_choice", True, {8: 18, 1: 11}),
+    ("static", False, {8: 15, 1: 8}),
 ], ids=["expert_choice", "token_choice", "static_unshared"])
 def test_training_step_tape_nodes_are_pinned(mode, share, nodes):
-    # embed, each router score, each recursion step, the batch's
-    # cross-entropy and its routing loss are one node each; a change to
+    # embed, each router score, each recursion step, the head, the batch's
+    # cross-entropy, its routing loss and their weighted sum are one node
+    # each, and each image's logits row one more; a change to
     # these counts is a change to the graph's design
     cfg = PRESETS["desk-synth"].replace(routing_mode=mode, share_params=share).validate()
     params = init_params(cfg)

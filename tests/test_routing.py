@@ -15,8 +15,8 @@ from morvit.routing import (
     select_active,
     token_choice_assign,
 )
-from morvit.tensor import Tape, Tensor, add, backward, mul
-from oracles import block_op, composed_score, grad_check, tsum
+from morvit.tensor import Tape, Tensor, backward
+from oracles import add, block_op, composed_score, grad_check, mul, tsum
 
 
 def gen(seed=0):

@@ -10,25 +10,25 @@ from morvit.tensor import (
     Tape,
     Tensor,
     _record,
-    add,
     backward,
     count_macs,
     cross_entropy,
     gather_rows,
-    matmul,
-    mul,
     scatter_rows,
 )
 from oracles import (
+    add,
     composed_task_loss,
     concat_rows,
     fd_gradient,
     gelu,
     grad_check,
     layernorm,
+    matmul,
     max_rel_err,
     mean,
     merge_heads,
+    mul,
     sigmoid,
     softmax_rows,
     split_heads,
